@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import AliphaticParams, build_aliphatic_restricted
-from .spinops import StateVector
+from .spinops import StateVector, site_bits
 
 # below this separation two transitions are reported as coincident
 DEGENERACY_TOL_HZ = 1e-6
@@ -122,7 +122,7 @@ def aliphatic_predicted_spectrum(params: AliphaticParams,
     h = build_aliphatic_restricted(params)
     evals, evecs = np.linalg.eigh(h.entries)
     # basis states with n-1 excitations (S0 count) form the single-T0 manifold
-    manifold = np.array([bin(i).count("1") == n - 1 for i in range(2 ** n)])
+    manifold = site_bits(n).sum(axis=1) == n - 1
     weights = (np.abs(evecs[manifold, :]) ** 2).sum(axis=0)
     chosen = np.sort(np.argsort(weights)[-n:])
     levels = np.sort(evals[chosen].real)[::-1]

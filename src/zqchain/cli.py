@@ -3,7 +3,8 @@
 Subcommands: simulate, spectrum, analytic, blocks, preset. Scenario flags
 mirror the config-file keys and override them. All computation is
 deterministic (there is no RNG anywhere); identical configs produce
-byte-identical output files regardless of --threads.
+byte-identical output files, and a preset writes the same files whatever
+its --threads.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import analytic, pipeline, presets, spectra
-from .config import (ConfigError, ScenarioConfig, config_from_overrides,
-                     load_config)
+from .config import (ConfigError, ScenarioConfig, check_dimension,
+                     config_from_overrides, load_config)
 from .dynamics import format_trajectory_csv
 from .hamiltonians import (AliphaticParams, XYParams, build_aliphatic_full,
                            build_aliphatic_restricted, build_xy,
@@ -44,11 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent scenario runs")
-    common.add_argument("--seedless", action="store_true",
-                        help="accepted for harness compatibility; all "
-                             "computation is deterministic and uses no RNG")
 
     scenario = argparse.ArgumentParser(add_help=False, parents=[common])
     scenario.add_argument("--config", help="YAML scenario file")
@@ -102,6 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preset", parents=[common],
                        help="run a named preset scenario set")
     p.add_argument("name", choices=sorted(presets.PRESETS))
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for independent scenario runs")
     p.set_defaults(func=cmd_preset)
     return parser
 
@@ -223,6 +221,8 @@ def _analytic_params(args):
 
 def cmd_analytic(args) -> int:
     params = _analytic_params(args)
+    if args.model == "aliphatic" and args.order == 2:
+        check_dimension(args.model, args.n, "restricted")
     out = _outdir(args)
     extra = []
     if args.model == "xy":
@@ -252,16 +252,18 @@ def cmd_analytic(args) -> int:
 
 def cmd_blocks(args) -> int:
     params = _analytic_params(args)
+    # the aliphatic dump also types every coupling of the full engine
+    check_dimension(args.model, args.n, "full")
     out = _outdir(args)
     stem = f"blocks-{args.model}-n{params.n}"
     path = out / f"{stem}.blocks.txt"
-    path.write_text(_blocks_text(args.model, params), encoding="utf-8")
+    path.write_text(_blocks_text(params), encoding="utf-8")
     print(f"wrote {path}")
     return 0
 
 
-def _blocks_text(model: str, params) -> str:
-    if model == "xy":
+def _blocks_text(params: XYParams | AliphaticParams) -> str:
+    if isinstance(params, XYParams):
         h = build_xy(params)
         labels = product_labels("ab", params.n)
         decomp = extract_blocks(h, labels)
@@ -295,14 +297,11 @@ def cmd_preset(args) -> int:
         elif job.kind == "spectrum":
             _run_spectrum_job(job.config, job.stem, out)
         elif job.kind == "blocks":
-            params = _params_from_extras(job.extras)
             path = out / f"{job.stem}.blocks.txt"
-            path.write_text(_blocks_text(job.extras["model"], params),
-                            encoding="utf-8")
+            path.write_text(_blocks_text(job.config), encoding="utf-8")
             print(f"wrote {path}")
         elif job.kind == "dss":
-            report, residual, notes = pipeline.dss_additivity_report(
-                job.extras["peaks"], job.extras["tol"])
+            report, residual, notes = pipeline.dss_additivity_report()
             path = out / f"{job.stem}.report.txt"
             path.write_text(spectra.format_match_report(report, notes),
                             encoding="utf-8")
@@ -318,13 +317,6 @@ def cmd_preset(args) -> int:
         for job in jobs:
             run(job)
     return 0
-
-
-def _params_from_extras(extras: dict):
-    c = extras["couplings"]
-    if extras["model"] == "xy":
-        return XYParams(extras["n"], c["J"])
-    return AliphaticParams(extras["n"], c["J_gem"], c["J_gauche"], c["J_anti"])
 
 
 if __name__ == "__main__":

@@ -12,13 +12,9 @@ from dataclasses import dataclass, field
 import yaml
 
 from .hamiltonians import AliphaticParams, XYParams
-from .dynamics import InitialPattern
+from .dynamics import DEFAULT_DT, DEFAULT_HORIZON, InitialPattern
+from .spectra import DEFAULT_TAU, DEFAULT_ZERO_PAD
 from .spinops import ProductLabel, parse_label
-
-DEFAULT_DT = 0.005
-DEFAULT_HORIZON = 20.0
-DEFAULT_TAU = 5.0
-DEFAULT_ZERO_PAD = 4
 
 # hard dimension guards: exponential growth must be an explicit decision
 MAX_FULL_DIM = 4096        # alpha/beta spaces (xy chains, full engine)
@@ -106,9 +102,7 @@ def validate(cfg: ScenarioConfig, path: str | None = None,
     if cfg.model == "xy":
         if "J" not in cfg.couplings:
             fail("couplings", "xy model needs coupling J (Hz)")
-        if 2 ** cfg.n > MAX_FULL_DIM:
-            fail("n", f"2^{cfg.n} exceeds the {MAX_FULL_DIM}-dim full-matrix "
-                      f"limit (n <= 12)")
+        check_dimension(cfg.model, cfg.n, cfg.engine, path, source_text)
         for s in cfg.flips:
             if not 1 <= s <= cfg.n:
                 fail("flips", f"site {s} outside 1..{cfg.n}")
@@ -121,12 +115,7 @@ def validate(cfg: ScenarioConfig, path: str | None = None,
             fail("couplings", f"aliphatic model needs {missing} (Hz)")
         if cfg.engine not in ("restricted", "full"):
             fail("engine", f"must be 'restricted' or 'full', got {cfg.engine!r}")
-        if cfg.engine == "full" and 4 ** cfg.n > MAX_FULL_DIM:
-            fail("n", f"4^{cfg.n} exceeds the {MAX_FULL_DIM}-dim full-engine "
-                      f"limit (n <= 6); use engine=restricted")
-        if cfg.engine == "restricted" and 2 ** cfg.n > MAX_RESTRICTED_DIM:
-            fail("n", f"2^{cfg.n} exceeds the {MAX_RESTRICTED_DIM}-dim "
-                      f"restricted-engine limit (n <= 14)")
+        check_dimension(cfg.model, cfg.n, cfg.engine, path, source_text)
         if not cfg.t0_sites:
             fail("t0_sites", "aliphatic model needs at least one T0 site")
         for s in cfg.t0_sites:
@@ -164,6 +153,30 @@ def validate(cfg: ScenarioConfig, path: str | None = None,
                 fail("observe", f"label {target} has {len(target)} sites, "
                                 f"chain has {cfg.n}")
     return cfg
+
+
+def check_dimension(model: str, n: int, engine: str,
+                    path: str | None = None,
+                    source_text: str | None = None) -> None:
+    """Refuse a chain whose dense matrix would exceed the dimension guards.
+
+    Runs before anything is allocated: ``validate`` calls it, and so do the
+    commands that build matrices without a scenario. ``engine`` is ignored
+    for the xy model.
+    """
+    if model == "xy":
+        too_big = 2 ** n > MAX_FULL_DIM
+        msg = f"2^{n} exceeds the {MAX_FULL_DIM}-dim full-matrix limit (n <= 12)"
+    elif engine == "full":
+        too_big = 4 ** n > MAX_FULL_DIM
+        msg = (f"4^{n} exceeds the {MAX_FULL_DIM}-dim full-engine limit "
+               f"(n <= 6); use engine=restricted")
+    else:
+        too_big = 2 ** n > MAX_RESTRICTED_DIM
+        msg = (f"2^{n} exceeds the {MAX_RESTRICTED_DIM}-dim restricted-engine "
+               f"limit (n <= 14)")
+    if too_big:
+        raise ConfigError("n", msg, path, _field_line(source_text, "n"))
 
 
 def _field_line(source_text: str | None, fld: str) -> int | None:

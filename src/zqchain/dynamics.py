@@ -15,14 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import _bit
 from .spinops import (
+    ALPHABETS,
     IMAG_RESIDUE_TOL,
     Operator,
     ProductLabel,
     basis_tag,
     hermitian_operator,
     label_index,
+    site_bits,
     st_vectors,
 )
 
@@ -70,14 +71,9 @@ def initial_xy(pattern: InitialPattern) -> Operator:
     polarization +-1/2; trace remains zero.
     """
     n = pattern.n
-    dim = 2 ** n
-    diag = np.zeros(dim)
-    for idx in range(dim):
-        val = 0.0
-        for site in range(1, n + 1):
-            m = 0.5 - _bit(idx, site, n)
-            val += -m if site in pattern.flips else m
-        diag[idx] = val
+    signs = [-1.0 if site in pattern.flips else 1.0 for site in range(1, n + 1)]
+    # sums of +-1/2 are exact, so the summation order cannot change a bit
+    diag = (0.5 - site_bits(n)) @ np.array(signs)
     rho = np.diag(diag.astype(complex)) * 2.0 ** (1 - n)
     return hermitian_operator(rho, basis_tag("ab", n))
 
@@ -105,20 +101,14 @@ def population_op(label: ProductLabel, full_space: bool = False) -> Operator:
         proj = np.outer(vec, vec.conj())
         return hermitian_operator(proj, basis_tag("ab", 2 * len(label)))
     idx = label_index(label)
-    size = _space_dim(label)
+    size = len(ALPHABETS[label.alphabet]) ** len(label)
     proj = np.zeros((size, size), dtype=complex)
     proj[idx, idx] = 1.0
     return hermitian_operator(proj, basis_tag(label.alphabet, len(label)))
 
 
-ALPHABET_DIMS = {"ab": 2, "st2": 2, "st4": 4}
-
-
-def _space_dim(label: ProductLabel) -> int:
-    return ALPHABET_DIMS[label.alphabet] ** len(label)
-
-
-def _t0_label(n: int, t0_site: int) -> ProductLabel:
+def t0_label(n: int, t0_site: int) -> ProductLabel:
+    """{T0, S0} label of n pairs with the T0 at ``t0_site``, S0 elsewhere."""
     sites = tuple("T0" if s == t0_site else "S0" for s in range(1, n + 1))
     return ProductLabel(sites, "st2")
 
@@ -141,7 +131,7 @@ def initial_aliphatic(pattern: InitialPattern, signs,
     if not sites:
         raise ValueError("aliphatic initial pattern needs at least one site")
     n = pattern.n
-    terms = [(population_op(_t0_label(n, site), full_space), float(sign))
+    terms = [(population_op(t0_label(n, site), full_space), float(sign))
              for site, sign in zip(sites, signs)]
     rho = sum(sign * op.entries for op, sign in terms)
     return hermitian_operator(rho, terms[0][0].basis_tag)

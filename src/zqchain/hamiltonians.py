@@ -28,6 +28,7 @@ from .spinops import (
     basis_tag,
     hermitian_operator,
     product_labels,
+    site_bits,
     st_vectors,
 )
 
@@ -79,9 +80,20 @@ class AliphaticParams:
         return cls(n, j_gem, (sum_j + delta_j) / 2, (sum_j - delta_j) / 2)
 
 
-def _bit(index: int, site: int, n: int) -> int:
-    """Bit of ``index`` at ``site`` (1-based, site 1 most significant)."""
-    return (index >> (n - site)) & 1
+def _add_flips(h: np.ndarray, bits: np.ndarray, a: int, b: int,
+               pattern: tuple[int, int], value: float) -> None:
+    """Add ``value`` to h between every two states that differ only at sites
+    a and b, one reading ``pattern`` there and the other its complement.
+
+    Both sets are listed in index order, and among the states sharing their
+    (a, b) bits that order is set by the other sites alone, so the k-th
+    member of one set pairs with the k-th of the other.
+    """
+    col_a, col_b = bits[:, a - 1], bits[:, b - 1]
+    first = np.flatnonzero((col_a == pattern[0]) & (col_b == pattern[1]))
+    second = np.flatnonzero((col_a != pattern[0]) & (col_b != pattern[1]))
+    h[first, second] += value
+    h[second, first] += value
 
 
 def build_xy(params: XYParams) -> Operator:
@@ -91,13 +103,10 @@ def build_xy(params: XYParams) -> Operator:
     that differ by exchanging an adjacent (a, b) pair; zero diagonal.
     """
     n, j = params.n, params.j
-    dim = 2 ** n
-    h = np.zeros((dim, dim))
+    bits = site_bits(n)
+    h = np.zeros((2 ** n, 2 ** n))
     for i in range(1, n):
-        for idx in range(dim):
-            if _bit(idx, i, n) != _bit(idx, i + 1, n):
-                jdx = idx ^ (1 << (n - i)) ^ (1 << (n - i - 1))
-                h[idx, jdx] += j / 2
+        _add_flips(h, bits, i, i + 1, (0, 1), j / 2)
     return hermitian_operator(h, basis_tag("ab", n))
 
 
@@ -110,26 +119,20 @@ def build_aliphatic_full(params: AliphaticParams) -> Operator:
     """
     n = params.n
     ns = 2 * n
-    dim = 2 ** ns
-    h = np.zeros((dim, dim))
-    mz = lambda idx, s: 0.5 - _bit(idx, s, ns)  # +1/2 for alpha, -1/2 for beta
-
-    for idx in range(dim):
-        diag = 0.0
-        for p in range(1, n + 1):
-            a, b = 2 * p - 1, 2 * p
-            diag += params.j_gem * mz(idx, a) * mz(idx, b)
-            # geminal flip-flop J_gem/2 between |ab> and |ba> within the pair
-            if _bit(idx, a, ns) != _bit(idx, b, ns):
-                jdx = idx ^ (1 << (ns - a)) ^ (1 << (ns - b))
-                h[idx, jdx] += params.j_gem / 2
-        for p in range(1, n):
-            a, b, c, d = 2 * p - 1, 2 * p, 2 * p + 1, 2 * p + 2
-            za, zb = mz(idx, a), mz(idx, b)
-            zc, zd = mz(idx, c), mz(idx, d)
-            diag += (params.sum_j / 2) * (za + zb) * (zc + zd)
-            diag += (params.delta_j / 2) * (za - zb) * (zc - zd)
-        h[idx, idx] += diag
+    bits = site_bits(ns)
+    mz = 0.5 - bits  # +1/2 for alpha, -1/2 for beta; column s-1 is spin s
+    h = np.zeros((2 ** ns, 2 ** ns))
+    diag = np.zeros(2 ** ns)
+    for p in range(1, n + 1):
+        a, b = 2 * p - 1, 2 * p
+        diag += params.j_gem * mz[:, a - 1] * mz[:, b - 1]
+        # geminal flip-flop J_gem/2 between |ab> and |ba> within the pair
+        _add_flips(h, bits, a, b, (0, 1), params.j_gem / 2)
+    for p in range(1, n):
+        za, zb, zc, zd = (mz[:, s] for s in range(2 * p - 2, 2 * p + 2))
+        diag += (params.sum_j / 2) * (za + zb) * (zc + zd)
+        diag += (params.delta_j / 2) * (za - zb) * (zc - zd)
+    np.fill_diagonal(h, diag)
     return hermitian_operator(h, basis_tag("ab", ns))
 
 
@@ -170,16 +173,15 @@ def build_aliphatic_restricted(params: AliphaticParams) -> Operator:
     Independent of sum_j, which annihilates every m=0 pair state.
     """
     n = params.n
-    dim = 2 ** n
-    h = np.zeros((dim, dim))
-    for idx in range(dim):
-        n_s = bin(idx).count("1")  # S0 plays the beta role (bit 1)
-        h[idx, idx] = geminal_energy(n_s, n - n_s, params.j_gem)
+    bits = site_bits(n)  # S0 plays the beta role (bit 1)
+    n_s = bits.sum(axis=1)
+    levels = np.array([geminal_energy(k, n - k, params.j_gem)
+                       for k in range(n + 1)])
+    h = np.diag(levels[n_s])
     half = params.delta_j / 2
     for i in range(1, n):
-        flip = (1 << (n - i)) | (1 << (n - i - 1))
-        for idx in range(dim):
-            h[idx, idx ^ flip] += half
+        _add_flips(h, bits, i, i + 1, (0, 0), half)
+        _add_flips(h, bits, i, i + 1, (0, 1), half)
     return hermitian_operator(h, basis_tag("st2", n))
 
 

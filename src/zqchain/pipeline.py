@@ -13,7 +13,7 @@ import numpy as np
 
 from . import analytic, dynamics, hamiltonians, spectra
 from .config import ScenarioConfig
-from .spinops import Operator, ProductLabel, lift, single_spin_op, total_Iz
+from .spinops import Operator, lift, single_spin_op, total_Iz
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,10 @@ def build_observable(cfg: ScenarioConfig, target) -> Operator:
     if cfg.model == "xy":
         return lift(single_spin_op("z"), target, cfg.n)
     if isinstance(target, int):
-        label = _t0_label(cfg.n, target)
+        label = dynamics.t0_label(cfg.n, target)
     else:
         label = target
     return dynamics.population_op(label, full_space=(cfg.engine == "full"))
-
-
-def _t0_label(n: int, site: int) -> ProductLabel:
-    sites = tuple("T0" if s == site else "S0" for s in range(1, n + 1))
-    return ProductLabel(sites, "st2")
 
 
 def predicted_table(cfg: ScenarioConfig, order: int = 2) -> analytic.TransitionTable:
@@ -110,7 +105,7 @@ def run_spectrum(cfg: ScenarioConfig,
     """
     sim = run_simulate(cfg)
     table = predicted_table(cfg)
-    split_notes = _split_notes(cfg)
+    split_notes = _split_notes(cfg, table)
 
     spectra_out = {}
     reports = {}
@@ -124,13 +119,16 @@ def run_spectrum(cfg: ScenarioConfig,
                           split_notes)
 
 
-def _split_notes(cfg: ScenarioConfig) -> list[str]:
-    """Describe which zeroth-order-degenerate transitions split at order 2."""
+def _split_notes(cfg: ScenarioConfig,
+                 t2: analytic.TransitionTable) -> list[str]:
+    """Describe which zeroth-order-degenerate transitions split at order 2.
+
+    ``t2`` is the scenario's order-2 table, as built by predicted_table.
+    """
     if cfg.model != "aliphatic":
         return []
     params = cfg.aliphatic_params()
     t0 = predicted_table(cfg, order=0)
-    t2 = predicted_table(cfg, order=2)
     estimate = analytic.pt2_splitting_estimate(params.delta_j, params.j_gem)
 
     groups: dict[float, list[tuple[int, int]]] = {}
@@ -154,13 +152,6 @@ def _split_notes(cfg: ScenarioConfig) -> list[str]:
             notes.append(f"{names}: single line at {vals[0]:.4f} Hz "
                          f"(order-0 {nu0:.4f}, shift {shift:+.4f})")
     return notes
-
-
-def wavefront_summary(cfg: ScenarioConfig, threshold: float) -> list[float | None]:
-    """Per-site first-crossing times for an xy scenario observing all sites."""
-    sim = run_simulate(cfg)
-    trajs = [sim.trajectories[f"site{i}"] for i in range(1, cfg.n + 1)]
-    return dynamics.wavefront_arrival(trajs, threshold)
 
 
 def dss_additivity_report(peaks_hz=(3.70, 4.67, 8.37),

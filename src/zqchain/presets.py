@@ -6,19 +6,20 @@ j_gem = -14 Hz for methylene chains).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import ScenarioConfig, validate
+from .hamiltonians import AliphaticParams, XYParams
 
 ALIPHATIC_COUPLINGS = {"J_gem": -14.0, "J_gauche": 7.5, "J_anti": 2.5}
 
 
 @dataclass(frozen=True)
 class Job:
-    kind: str                 # simulate | spectrum | blocks | analytic | dss
+    kind: str                 # simulate | spectrum | blocks | dss
     stem: str
-    config: ScenarioConfig | None = None
-    extras: dict = field(default_factory=dict)
+    # a scenario for simulate/spectrum, the chain for blocks, None for dss
+    config: ScenarioConfig | XYParams | AliphaticParams | None = None
 
 
 def _xy(n, flips, observe, **kw) -> ScenarioConfig:
@@ -33,6 +34,11 @@ def _aliphatic(n, t0_sites, signs, observe, **kw) -> ScenarioConfig:
                                    t0_sites=tuple(t0_sites),
                                    signs=tuple(signs), observe=tuple(observe),
                                    **kw))
+
+
+def _aliphatic_chain(n) -> AliphaticParams:
+    c = ALIPHATIC_COUPLINGS
+    return AliphaticParams(n, c["J_gem"], c["J_gauche"], c["J_anti"])
 
 
 def fig1() -> list[Job]:
@@ -68,8 +74,8 @@ def fig7() -> list[Job]:
     For each chain length the sweep runs both the first-spin-inverted and
     the last-spin-inverted pattern; the scenario pair (inverted site 1,
     observed site i) vs (inverted site n, observed site n+1-i) is related
-    by the exact mirror symmetry of the chain, so those spectrum files come
-    out byte-identical.
+    by the exact mirror symmetry of the chain, so those spectrum files agree
+    in value to about 1e-13 (roundoff may differ in the last printed digit).
     """
     jobs = []
     for n in range(2, 6):
@@ -81,28 +87,18 @@ def fig7() -> list[Job]:
 
 def blocks_fig3() -> list[Job]:
     """Block structure of the 4-spin XY chain and the 4-pair methylene chain."""
-    return [
-        Job("blocks", "blocks-fig3-xy",
-            extras={"model": "xy", "n": 4, "couplings": {"J": 5.0}}),
-        Job("blocks", "blocks-fig3-aliphatic",
-            extras={"model": "aliphatic", "n": 4,
-                    "couplings": dict(ALIPHATIC_COUPLINGS)}),
-    ]
+    return [Job("blocks", "blocks-fig3-xy", XYParams(4, 5.0)),
+            Job("blocks", "blocks-fig3-aliphatic", _aliphatic_chain(4))]
 
 
 def blocks_fig5() -> list[Job]:
     """Higher-excitation blocks of the 4-pair methylene chain (k = 0, 2, 4)."""
-    return [
-        Job("blocks", "blocks-fig5-aliphatic",
-            extras={"model": "aliphatic", "n": 4,
-                    "couplings": dict(ALIPHATIC_COUPLINGS)}),
-    ]
+    return [Job("blocks", "blocks-fig5-aliphatic", _aliphatic_chain(4))]
 
 
 def dss_additivity() -> list[Job]:
     """Match the published DSS zero-quantum lines and check telescoping."""
-    return [Job("dss", "dss-additivity",
-                extras={"peaks": (3.70, 4.67, 8.37), "tol": 0.01})]
+    return [Job("dss", "dss-additivity")]
 
 
 PRESETS = {

@@ -85,6 +85,18 @@ def label_index(label: ProductLabel) -> int:
     return idx
 
 
+def site_bits(n_sites: int) -> np.ndarray:
+    """Per-site bits of every basis index of a two-symbol space, (2^n, n).
+
+    Column s-1 holds the bit of site s: 1 where the index's product label
+    carries the second symbol of its alphabet ("b" of "ab", "S0" of "st2"),
+    with site 1 the most significant bit, as in product_labels and
+    label_index. A row sum is the state's excitation count.
+    """
+    shifts = np.arange(n_sites - 1, -1, -1)
+    return (np.arange(2 ** n_sites)[:, None] >> shifts) & 1
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Dense complex matrix tagged with the ordered basis it acts in."""
@@ -170,9 +182,7 @@ def total_Iz(n_sites: int) -> Operator:
     """Sum of lifted I_z over all sites; diagonal in the alpha/beta basis."""
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
-    dim = 2 ** n_sites
-    # popcount of the basis index = number of beta sites
-    diag = np.array([0.5 * (n_sites - 2 * bin(i).count("1")) for i in range(dim)])
+    diag = 0.5 * (n_sites - 2 * site_bits(n_sites).sum(axis=1))
     return Operator(np.diag(diag.astype(complex)), basis_tag("ab", n_sites))
 
 

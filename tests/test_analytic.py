@@ -1,7 +1,10 @@
 """Closed-form Toeplitz spectra against dense diagonalization oracles."""
+import dataclasses
+
 import numpy as np
 import pytest
 
+from zqchain import analytic, pipeline, presets
 from zqchain.analytic import (
     ToeplitzSpec,
     aliphatic_predicted_spectrum,
@@ -192,3 +195,18 @@ def test_eigenvector_independent_of_a_and_delta():
             ana = toeplitz_eigenvector(k, 6).entries.real
             sign = np.sign(dense[np.argmax(np.abs(dense))] * ana[np.argmax(np.abs(dense))])
             assert np.max(np.abs(dense * sign - ana)) < 1e-10
+
+
+def test_spectrum_diagonalizes_for_the_order2_table_once(monkeypatch):
+    calls = []
+    original = analytic.aliphatic_predicted_spectrum
+
+    def counted(params, order):
+        calls.append(order)
+        return original(params, order)
+
+    monkeypatch.setattr(analytic, "aliphatic_predicted_spectrum", counted)
+    (job,) = presets.fig6a()
+    result = pipeline.run_spectrum(dataclasses.replace(job.config, horizon=2.0))
+    assert calls.count(2) == 1
+    assert "nu_12/nu_34: split by 0.5909 Hz" in "\n".join(result.split_notes)

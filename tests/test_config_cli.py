@@ -1,10 +1,12 @@
 """Config validation and the command-line front end."""
 import pytest
 
+from zqchain import analytic, cli
 from zqchain.cli import main
 from zqchain.config import (
     ConfigError,
     ScenarioConfig,
+    check_dimension,
     config_from_overrides,
     load_config,
     validate,
@@ -101,6 +103,55 @@ def test_size_guards():
                                            "J_anti": 2.5},
                                 t0_sites=(1,), signs=(1.0,)))
     assert "restricted-engine" in str(err.value)
+
+
+def test_check_dimension_limits():
+    for model, n, engine in (("xy", 12, "full"), ("aliphatic", 6, "full"),
+                             ("aliphatic", 14, "restricted")):
+        check_dimension(model, n, engine)
+    for model, n, engine, message in (
+            ("xy", 13, "restricted", "2^13 exceeds the 4096-dim full-matrix"),
+            ("aliphatic", 7, "full", "4^7 exceeds the 4096-dim full-engine"),
+            ("aliphatic", 15, "restricted",
+             "2^15 exceeds the 16384-dim restricted-engine")):
+        with pytest.raises(ConfigError) as err:
+            check_dimension(model, n, engine)
+        assert message in str(err.value)
+
+
+ALIPHATIC_FLAGS = ["--j-gem", "-14", "--j-gauche", "7.5", "--j-anti", "2.5"]
+
+
+@pytest.fixture
+def no_builds(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("matrix built past the size guard")
+    for name in ("build_xy", "build_aliphatic_full",
+                 "build_aliphatic_restricted"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(analytic, "build_aliphatic_restricted", refuse)
+
+
+def test_blocks_and_analytic_refuse_oversized_chains(tmp_path, capsys,
+                                                     no_builds):
+    for argv, message in (
+            (["blocks", "--model", "xy", "--n", "13", "--j", "5"],
+             "2^13 exceeds the 4096-dim full-matrix"),
+            (["blocks", "--model", "aliphatic", "--n", "7", *ALIPHATIC_FLAGS],
+             "4^7 exceeds the 4096-dim full-engine"),
+            (["analytic", "--model", "aliphatic", "--n", "15", "--order", "2",
+              *ALIPHATIC_FLAGS], "2^15 exceeds the 16384-dim restricted")):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_analytic_tables_without_a_matrix_have_no_size_limit(tmp_path,
+                                                           no_builds):
+    assert main(["analytic", "--model", "xy", "--n", "16", "--j", "5",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["analytic", "--model", "aliphatic", "--n", "16",
+                 "--order", "0", *ALIPHATIC_FLAGS, "--out", str(tmp_path)]) == 0
 
 
 def test_observe_label_needs_matching_length():
@@ -285,8 +336,7 @@ def test_cli_deterministic_outputs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         rc = main(["spectrum", "--model", "xy", "--n", "3", "--j", "5",
-                   "--flips", "1", "--observe", "all", "--threads", "2",
-                   "--out", str(out)])
+                   "--flips", "1", "--observe", "all", "--out", str(out)])
         assert rc == 0
     for name in ("scenario.site1.spec.csv", "scenario.site2.spec.csv",
                  "scenario.site3.spec.csv"):

@@ -14,6 +14,7 @@ from zqchain.spinops import (
     parse_label,
     product_labels,
     single_spin_op,
+    site_bits,
     st_vectors,
     total_Iz,
 )
@@ -182,3 +183,14 @@ def test_labels_roundtrip_and_index():
 def test_label_rejects_bad_symbol():
     with pytest.raises(ValueError):
         ProductLabel(("T0", "X0"), "st2")
+
+
+def test_site_bits_mark_excited_symbols_in_label_order():
+    # bit 1 exactly where the product label carries b ("ab") or S0 ("st2")
+    for n in range(1, 9):
+        bits = site_bits(n)
+        assert bits.shape == (2 ** n, n)
+        for alphabet, excited in (("ab", "b"), ("st2", "S0")):
+            expected = [[int(s == excited) for s in lab.sites]
+                        for lab in product_labels(alphabet, n)]
+            assert np.array_equal(bits, expected)
