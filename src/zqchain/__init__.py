@@ -53,6 +53,7 @@ from .spectra import (
 from .spinops import (
     Operator,
     ProductLabel,
+    ProjectorSum,
     StateVector,
     basis_change,
     expectation,

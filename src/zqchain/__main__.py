@@ -1,0 +1,7 @@
+"""``python -m zqchain``: the command-line front end, without installing."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

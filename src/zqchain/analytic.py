@@ -99,8 +99,8 @@ def pt2_splitting_estimate(delta_j: float, j_gem: float) -> float:
     return 0.25 * delta_j ** 2 / j_gem
 
 
-def aliphatic_predicted_spectrum(params: AliphaticParams,
-                                 order: int) -> TransitionTable:
+def aliphatic_predicted_spectrum(params: AliphaticParams, order: int,
+                                 eigenpairs=None) -> TransitionTable:
     """Predicted zero-quantum transitions of the methylene chain.
 
     order 0
@@ -111,6 +111,9 @@ def aliphatic_predicted_spectrum(params: AliphaticParams,
         using the n levels dominated by the single-T0 manifold (one central
         triplet walking a chain of singlets, as prepared by the standard
         initial patterns). Captures the type-II level shifts.
+        ``eigenpairs`` is the (energies, modes) pair of that Hamiltonian
+        when the caller already has it, as a restricted-engine Propagator
+        does; otherwise the Hamiltonian is built and diagonalized here.
     """
     if order == 0:
         spec = ToeplitzSpec(0.0, params.delta_j / 2, params.n)
@@ -119,8 +122,9 @@ def aliphatic_predicted_spectrum(params: AliphaticParams,
         raise ValueError("order must be 0 or 2")
 
     n = params.n
-    h = build_aliphatic_restricted(params)
-    evals, evecs = np.linalg.eigh(h.entries)
+    if eigenpairs is None:
+        eigenpairs = np.linalg.eigh(build_aliphatic_restricted(params).entries)
+    evals, evecs = eigenpairs
     # basis states with n-1 excitations (S0 count) form the single-T0 manifold
     manifold = site_bits(n).sum(axis=1) == n - 1
     weights = (np.abs(evecs[manifold, :]) ** 2).sum(axis=0)

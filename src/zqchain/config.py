@@ -7,6 +7,7 @@ came from a file, the file and line it was set on.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -19,6 +20,8 @@ from .spinops import ProductLabel, parse_label
 # hard dimension guards: exponential growth must be an explicit decision
 MAX_FULL_DIM = 4096        # alpha/beta spaces (xy chains, full engine)
 MAX_RESTRICTED_DIM = 16384  # {T0,S0} fictitious-spin spaces
+# time steps per trajectory (horizon/dt); the default run takes 4000
+MAX_STEPS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -102,6 +105,9 @@ def validate(cfg: ScenarioConfig, path: str | None = None,
     if cfg.model == "xy":
         if "J" not in cfg.couplings:
             fail("couplings", "xy model needs coupling J (Hz)")
+        if not _finite(cfg.couplings["J"]):
+            fail("couplings", f"J must be a finite number (Hz), "
+                              f"got {cfg.couplings['J']!r}")
         check_dimension(cfg.model, cfg.n, cfg.engine, path, source_text)
         for s in cfg.flips:
             if not 1 <= s <= cfg.n:
@@ -113,6 +119,10 @@ def validate(cfg: ScenarioConfig, path: str | None = None,
                    if k not in cfg.couplings]
         if missing:
             fail("couplings", f"aliphatic model needs {missing} (Hz)")
+        bad = {k: cfg.couplings[k] for k in ("J_gem", "J_gauche", "J_anti")
+               if not _finite(cfg.couplings[k])}
+        if bad:
+            fail("couplings", f"must be finite numbers (Hz), got {bad}")
         if cfg.engine not in ("restricted", "full"):
             fail("engine", f"must be 'restricted' or 'full', got {cfg.engine!r}")
         check_dimension(cfg.model, cfg.n, cfg.engine, path, source_text)
@@ -129,10 +139,13 @@ def validate(cfg: ScenarioConfig, path: str | None = None,
         if cfg.flips:
             fail("flips", "only meaningful for the xy model")
 
-    if not cfg.dt > 0:
-        fail("dt", f"must be positive, got {cfg.dt}")
-    if not cfg.horizon >= cfg.dt:
-        fail("horizon", f"must be >= dt, got {cfg.horizon}")
+    if not (cfg.dt > 0 and math.isfinite(cfg.dt)):
+        fail("dt", f"must be positive and finite, got {cfg.dt}")
+    if not (cfg.horizon >= cfg.dt and math.isfinite(cfg.horizon)):
+        fail("horizon", f"must be finite and >= dt, got {cfg.horizon}")
+    if not cfg.horizon / cfg.dt <= MAX_STEPS:
+        fail("horizon", f"horizon/dt = {cfg.horizon / cfg.dt:.4g} steps exceeds "
+                        f"the {MAX_STEPS}-step limit")
     if not cfg.tau > 0:
         fail("tau", f"must be positive, got {cfg.tau}")
     if cfg.zero_pad < 1:
@@ -153,6 +166,13 @@ def validate(cfg: ScenarioConfig, path: str | None = None,
                 fail("observe", f"label {target} has {len(target)} sites, "
                                 f"chain has {cfg.n}")
     return cfg
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(float(value))
+    except (TypeError, ValueError):
+        return False
 
 
 def check_dimension(model: str, n: int, engine: str,

@@ -3,6 +3,9 @@
 Propagation solves the Liouville-von Neumann equation exactly through one
 Hermitian eigendecomposition of the Hamiltonian, reused for every time
 sample: rho(t) = exp(-i 2 pi H t) rho(0) exp(+i 2 pi H t) with H in Hz.
+A real Hamiltonian is decomposed in real arithmetic. Projector states and
+populations are kept as weights and vectors (spinops.ProjectorSum), so a
+sample costs dim * terms between two of them and dim^2 otherwise.
 
 Initial states are deviation density operators (traceless, not positive
 semidefinite). XY patterns are normalized so each site reads +-1/2, i.e.
@@ -20,6 +23,7 @@ from .spinops import (
     IMAG_RESIDUE_TOL,
     Operator,
     ProductLabel,
+    ProjectorSum,
     basis_tag,
     hermitian_operator,
     label_index,
@@ -74,7 +78,7 @@ def initial_xy(pattern: InitialPattern) -> Operator:
     signs = [-1.0 if site in pattern.flips else 1.0 for site in range(1, n + 1)]
     # sums of +-1/2 are exact, so the summation order cannot change a bit
     diag = (0.5 - site_bits(n)) @ np.array(signs)
-    rho = np.diag(diag.astype(complex)) * 2.0 ** (1 - n)
+    rho = np.diag(diag) * 2.0 ** (1 - n)
     return hermitian_operator(rho, basis_tag("ab", n))
 
 
@@ -83,28 +87,31 @@ def st2_product_vector(label: ProductLabel) -> np.ndarray:
     if label.alphabet != "st2":
         raise ValueError("expected an st2 label")
     _, t0, s0, _ = st_vectors()
-    vec = np.array([1.0 + 0j])
+    vec = np.array([1.0])
     for sym in label.sites:
         vec = np.kron(vec, t0.entries if sym == "T0" else s0.entries)
     return vec
 
 
-def population_op(label: ProductLabel, full_space: bool = False) -> Operator:
+def population_op(label: ProductLabel, full_space: bool = False) -> ProjectorSum:
     """Projector |label><label| on a product state; trace one.
 
     With ``full_space`` a {T0,S0} label is embedded in the 2n-spin
     alpha/beta space, for cross-checking the restricted engine against the
     full one.
     """
+    return _projector_sum([label], [1.0], full_space)
+
+
+def _projector_sum(labels, weights, full_space: bool) -> ProjectorSum:
+    """sum_m w_m |label_m><label_m| over product states of one space."""
     if full_space:
-        vec = st2_product_vector(label)
-        proj = np.outer(vec, vec.conj())
-        return hermitian_operator(proj, basis_tag("ab", 2 * len(label)))
-    idx = label_index(label)
-    size = len(ALPHABETS[label.alphabet]) ** len(label)
-    proj = np.zeros((size, size), dtype=complex)
-    proj[idx, idx] = 1.0
-    return hermitian_operator(proj, basis_tag(label.alphabet, len(label)))
+        vecs = np.stack([st2_product_vector(lab) for lab in labels], axis=1)
+        return ProjectorSum(weights, vecs, basis_tag("ab", 2 * len(labels[0])))
+    alphabet, n = labels[0].alphabet, len(labels[0])
+    vecs = np.zeros((len(ALPHABETS[alphabet]) ** n, len(labels)))
+    vecs[[label_index(lab) for lab in labels], np.arange(len(labels))] = 1.0
+    return ProjectorSum(weights, vecs, basis_tag(alphabet, n))
 
 
 def t0_label(n: int, t0_site: int) -> ProductLabel:
@@ -114,7 +121,7 @@ def t0_label(n: int, t0_site: int) -> ProductLabel:
 
 
 def initial_aliphatic(pattern: InitialPattern, signs,
-                      full_space: bool = False) -> Operator:
+                      full_space: bool = False) -> ProjectorSum:
     """Signed sum of projectors with a single T0 walking the pattern sites.
 
     ``pattern.flips`` lists the sites that carry the T0 of one projector
@@ -130,15 +137,16 @@ def initial_aliphatic(pattern: InitialPattern, signs,
         raise ValueError("signs must be +-1")
     if not sites:
         raise ValueError("aliphatic initial pattern needs at least one site")
-    n = pattern.n
-    terms = [(population_op(t0_label(n, site), full_space), float(sign))
-             for site, sign in zip(sites, signs)]
-    rho = sum(sign * op.entries for op, sign in terms)
-    return hermitian_operator(rho, terms[0][0].basis_tag)
+    labels = [t0_label(pattern.n, site) for site in sites]
+    return _projector_sum(labels, [float(s) for s in signs], full_space)
 
 
 class Propagator:
-    """One eigendecomposition of H (in Hz), shared across all time samples."""
+    """One eigendecomposition of H (in Hz), shared across all time samples.
+
+    A real symmetric H is decomposed in real arithmetic, so its modes are
+    real; a complex Hermitian H (one with an I_y term) takes the same code.
+    """
 
     def __init__(self, hamiltonian: Operator):
         self.basis_tag = hamiltonian.basis_tag
@@ -149,58 +157,97 @@ class Propagator:
             raise ValueError("eigendecomposition failed; Hamiltonian is "
                              "likely not Hermitian") from exc
 
-    def evolve(self, rho0: Operator, t: float) -> Operator:
+    def evolve(self, rho0: Operator | ProjectorSum, t: float) -> Operator:
         """rho(t) for a single time; exact unitary evolution."""
         self._check(rho0)
         phases = np.exp(-2j * np.pi * self.energies * t)
         u = self.modes * phases  # V diag(phases)
-        rho_t = u @ (self.modes.conj().T @ rho0.entries @ self.modes) @ u.conj().T
+        rho_t = u @ self._in_eigenbasis(rho0) @ u.conj().T
         rho_t = 0.5 * (rho_t + rho_t.conj().T)  # strip roundoff skew
         return hermitian_operator(rho_t, rho0.basis_tag)
 
-    def series(self, rho0: Operator, observable: Operator, dt: float,
+    def series(self, rho0: Operator | ProjectorSum,
+               observable: Operator | ProjectorSum, dt: float,
                steps: int, observable_id: str = "obs") -> Trajectory:
         """Sampled Tr(O rho(t)) at t = 0, dt, ..., steps*dt.
 
-        Works in the eigenbasis: the signal is a bilinear form in the
-        per-level phase vector, so cost per sample is one dim^2 product
-        rather than a dim^3 conjugation.
+        Works in the eigenbasis, from the phase angles theta_j = 2 pi E_j t.
+        When both operands are ProjectorSums, rho0 = sum_m w_m |a_m><a_m|
+        and O = sum_l u_l |b_l><b_l|, the signal is a sum of transition
+        probabilities, sum_lm u_l w_m |sum_j conj(B_jl) e^(-i theta_j) A_jm|^2
+        with A = V^H a and B = V^H b: dim * terms per sample. Otherwise it is
+        the bilinear form p^T (rho_e o O_e^T) conj(p), p = e^(-i theta):
+        dim^2 per sample, after a basis change of dim^3 for a dense operand
+        and dim^2 * terms for a ProjectorSum. Its imaginary part, which
+        vanishes for Hermitian operands, is guarded.
         """
         self._check(rho0)
         self._check(observable)
         if dt <= 0 or steps < 0:
             raise ValueError("need dt > 0 and steps >= 0")
-        v = self.modes
-        rho_e = v.conj().T @ rho0.entries @ v
-        obs_e = v.conj().T @ observable.entries @ v
-        bilinear = rho_e * obs_e.T
+        if isinstance(rho0, ProjectorSum) and isinstance(observable, ProjectorSum):
+            form = self._amplitude_form(rho0, observable)
+        else:
+            form = self._bilinear_form(rho0, observable)
 
         out = np.empty(steps + 1)
-        chunk = max(1, min(steps + 1, 2 ** 22 // max(self.dim, 1)))
+        chunk = max(1, min(steps + 1, 2 ** 21 // max(self.dim, 1)))
         for start in range(0, steps + 1, chunk):
             tt = np.arange(start, min(start + chunk, steps + 1)) * dt
-            phases = np.exp(-2j * np.pi * np.outer(tt, self.energies))
-            sig = np.einsum("tj,jk,tk->t", phases, bilinear, phases.conj(),
-                            optimize=True)
+            theta = 2 * np.pi * np.outer(tt, self.energies)
+            out[start:start + len(tt)] = form(np.cos(theta), np.sin(theta))
+        return Trajectory(dt, out, observable_id)
+
+    def _amplitude_form(self, rho0: ProjectorSum, observable: ProjectorSum):
+        a = self.modes.conj().T @ rho0.vectors
+        b = self.modes.conj().T @ observable.vectors
+        # column (l, m) holds conj(B_jl) A_jm, weighted by u_l w_m
+        pairs = (b.conj()[:, :, None] * a[:, None, :]).reshape(self.dim, -1)
+        weights = np.outer(observable.weights, rho0.weights).ravel()
+
+        def form(cos, sin):
+            amplitudes = cos @ pairs - 1j * (sin @ pairs)
+            return np.abs(amplitudes) ** 2 @ weights
+        return form
+
+    def _bilinear_form(self, rho0, observable):
+        bilinear = self._in_eigenbasis(rho0) * self._in_eigenbasis(observable).T
+
+        def form(cos, sin):
+            # p^T B conj(p) with p = cos - i sin
+            x, y = cos @ bilinear, sin @ bilinear
+            sig = (np.einsum("tk,tk->t", x, cos) + np.einsum("tk,tk->t", y, sin)
+                   + 1j * (np.einsum("tk,tk->t", x, sin)
+                           - np.einsum("tk,tk->t", y, cos)))
             residue = float(np.max(np.abs(sig.imag)))
             scale = max(1.0, float(np.max(np.abs(sig.real))))
             if residue > IMAG_RESIDUE_TOL * scale:
                 raise ValueError(f"imaginary residue {residue:.3e} in series; "
                                  "non-Hermitian inputs?")
-            out[start:start + len(tt)] = sig.real
-        return Trajectory(dt, out, observable_id)
+            return sig.real
+        return form
 
-    def _check(self, op: Operator):
+    def _in_eigenbasis(self, op: Operator | ProjectorSum) -> np.ndarray:
+        """V^H O V."""
+        v = self.modes
+        if isinstance(op, ProjectorSum):
+            a = v.conj().T @ op.vectors
+            return (a * op.weights) @ a.conj().T
+        return v.conj().T @ op.entries @ v
+
+    def _check(self, op: Operator | ProjectorSum):
         if op.basis_tag != self.basis_tag or op.dim != self.dim:
             raise ValueError(f"operator basis {op.basis_tag} (dim {op.dim}) "
                              f"does not match propagator {self.basis_tag}")
 
 
-def propagate(hamiltonian: Operator, rho0: Operator, t: float) -> Operator:
+def propagate(hamiltonian: Operator, rho0: Operator | ProjectorSum,
+              t: float) -> Operator:
     return Propagator(hamiltonian).evolve(rho0, t)
 
 
-def observe_series(hamiltonian: Operator, rho0: Operator, observable: Operator,
+def observe_series(hamiltonian: Operator, rho0: Operator | ProjectorSum,
+                   observable: Operator | ProjectorSum,
                    dt: float = DEFAULT_DT, steps: int | None = None,
                    observable_id: str = "obs") -> Trajectory:
     if steps is None:

@@ -146,7 +146,7 @@ def st_basis(n: int) -> tuple[list[ProductLabel], np.ndarray]:
     if n < 1:
         raise ValueError("need n >= 1 pairs")
     cols = np.stack([v.entries for v in st_vectors()], axis=1)
-    u = np.array([[1.0 + 0j]])
+    u = np.array([[1.0]])
     for _ in range(n):
         u = np.kron(u, cols)
     return product_labels("st4", n), u

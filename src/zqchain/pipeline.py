@@ -13,7 +13,7 @@ import numpy as np
 
 from . import analytic, dynamics, hamiltonians, spectra
 from .config import ScenarioConfig
-from .spinops import Operator, lift, single_spin_op, total_Iz
+from .spinops import Operator, ProjectorSum, lift, single_spin_op, total_Iz
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def build_hamiltonian(cfg: ScenarioConfig) -> Operator:
     return hamiltonians.build_aliphatic_restricted(params)
 
 
-def build_initial(cfg: ScenarioConfig) -> Operator:
+def build_initial(cfg: ScenarioConfig) -> Operator | ProjectorSum:
     pattern = cfg.initial_pattern()
     if cfg.model == "xy":
         return dynamics.initial_xy(pattern)
@@ -50,7 +50,7 @@ def build_initial(cfg: ScenarioConfig) -> Operator:
                                       full_space=(cfg.engine == "full"))
 
 
-def build_observable(cfg: ScenarioConfig, target) -> Operator:
+def build_observable(cfg: ScenarioConfig, target) -> Operator | ProjectorSum:
     """Observable for one expanded observe entry (site index or st2 label)."""
     if cfg.model == "xy":
         return lift(single_spin_op("z"), target, cfg.n)
@@ -61,10 +61,13 @@ def build_observable(cfg: ScenarioConfig, target) -> Operator:
     return dynamics.population_op(label, full_space=(cfg.engine == "full"))
 
 
-def predicted_table(cfg: ScenarioConfig, order: int = 2) -> analytic.TransitionTable:
+def predicted_table(cfg: ScenarioConfig, order: int = 2,
+                    eigenpairs=None) -> analytic.TransitionTable:
+    """Analytic lines; ``eigenpairs`` of the restricted H spare an eigh."""
     if cfg.model == "xy":
         return analytic.xy_predicted_spectrum(cfg.n, float(cfg.couplings["J"]))
-    return analytic.aliphatic_predicted_spectrum(cfg.aliphatic_params(), order)
+    return analytic.aliphatic_predicted_spectrum(cfg.aliphatic_params(), order,
+                                                 eigenpairs)
 
 
 def run_simulate(cfg: ScenarioConfig) -> SimulationResult:
@@ -73,6 +76,10 @@ def run_simulate(cfg: ScenarioConfig) -> SimulationResult:
     Also tracks conserved quantities: total I_z (xy model) and the energy,
     both of which must stay flat to numerical precision.
     """
+    return _simulate(cfg)[0]
+
+
+def _simulate(cfg: ScenarioConfig) -> tuple[SimulationResult, dynamics.Propagator]:
     h = build_hamiltonian(cfg)
     rho0 = build_initial(cfg)
     prop = dynamics.Propagator(h)
@@ -91,7 +98,7 @@ def run_simulate(cfg: ScenarioConfig) -> SimulationResult:
                                                       - series.values[0])))
     energy = prop.series(rho0, h, cfg.dt, steps, "H")
     conserved["<H>"] = float(np.max(np.abs(energy.values - energy.values[0])))
-    return SimulationResult(cfg, trajectories, conserved)
+    return SimulationResult(cfg, trajectories, conserved), prop
 
 
 def run_spectrum(cfg: ScenarioConfig,
@@ -101,10 +108,13 @@ def run_spectrum(cfg: ScenarioConfig,
 
     The match tolerance defaults to one padded grid bin. For the aliphatic
     model the report also states which degenerate line pairs of the
-    zeroth-order table are split by type-II mixing.
+    zeroth-order table are split by type-II mixing. The order-2 table of
+    the restricted engine reuses the propagator's eigenpairs.
     """
-    sim = run_simulate(cfg)
-    table = predicted_table(cfg)
+    sim, prop = _simulate(cfg)
+    restricted = cfg.model == "aliphatic" and cfg.engine == "restricted"
+    table = predicted_table(cfg, eigenpairs=((prop.energies, prop.modes)
+                                             if restricted else None))
     split_notes = _split_notes(cfg, table)
 
     spectra_out = {}

@@ -1,9 +1,14 @@
 """Spin-1/2 operator algebra on tensor-product spaces.
 
-All operators are dense complex matrices. Conventions shared by the whole
-package: site 1 is the leftmost (most significant) Kronecker factor, and the
-per-site basis is ordered alpha before beta, so product states enumerate
-lexicographically (|aa..a>, |aa..b>, ...).
+Operators are dense matrices (``Operator``) or sums of weighted projectors
+kept as weights and vectors (``ProjectorSum``). Real input stays float64;
+only really complex input (such as I_y) is stored complex, so a real
+Hamiltonian reaches the eigensolver in real arithmetic.
+
+Conventions shared by the whole package: site 1 is the leftmost (most
+significant) Kronecker factor, and the per-site basis is ordered alpha
+before beta, so product states enumerate lexicographically
+(|aa..a>, |aa..b>, ...).
 """
 from __future__ import annotations
 
@@ -97,15 +102,23 @@ def site_bits(n_sites: int) -> np.ndarray:
     return (np.arange(2 ** n_sites)[:, None] >> shifts) & 1
 
 
+def _real_or_complex(values) -> type:
+    """float for real input, complex for complex input."""
+    return complex if np.iscomplexobj(values) else float
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Dense complex matrix tagged with the ordered basis it acts in."""
+    """Dense matrix tagged with the ordered basis it acts in.
+
+    Entries are float64 for real input and complex otherwise.
+    """
 
     entries: np.ndarray
     basis_tag: str
 
     def __post_init__(self):
-        mat = np.array(self.entries, dtype=complex)
+        mat = np.array(self.entries, dtype=_real_or_complex(self.entries))
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator must be square, got shape {mat.shape}")
         mat.setflags(write=False)
@@ -117,13 +130,52 @@ class Operator:
 
 
 @dataclass(frozen=True, eq=False)
+class ProjectorSum:
+    """Hermitian operator sum_m w_m |v_m><v_m|, kept as weights and vectors.
+
+    ``vectors`` holds one column per term, so a product-state projector or
+    a signed sum of a few of them costs dim * terms numbers instead of a
+    dim^2 matrix. Real weights make it Hermitian by construction.
+    """
+
+    weights: np.ndarray
+    vectors: np.ndarray
+    basis_tag: str
+
+    def __post_init__(self):
+        if np.iscomplexobj(self.weights):
+            raise ValueError("projector weights must be real")
+        w = np.array(self.weights, dtype=float).reshape(-1)
+        vecs = np.array(self.vectors, dtype=_real_or_complex(self.vectors))
+        if vecs.ndim != 2 or vecs.shape[1] != w.shape[0]:
+            raise ValueError(f"{w.shape[0]} weights need a (dim, {w.shape[0]}) "
+                             f"vector array, got shape {vecs.shape}")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(vecs))):
+            raise ValueError("projector weights and vectors must be finite")
+        for arr in (w, vecs):
+            arr.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "vectors", vecs)
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense dim x dim matrix, for oracles and tests."""
+        return (self.vectors * self.weights) @ self.vectors.conj().T
+
+
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """Complex column vector; basis states are unit-normalized."""
+    """Column vector, float64 or complex; basis states are unit-normalized."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        vec = np.array(self.entries, dtype=complex).reshape(-1)
+        vec = np.array(self.entries, dtype=_real_or_complex(self.entries))
+        vec = vec.reshape(-1)
         vec.setflags(write=False)
         object.__setattr__(self, "entries", vec)
 
@@ -137,8 +189,11 @@ class StateVector:
 
 
 def hermitian_operator(entries: np.ndarray, tag: str) -> Operator:
-    """Wrap a matrix as an Operator, asserting Hermiticity once at construction."""
-    mat = np.asarray(entries, dtype=complex)
+    """Wrap a matrix as an Operator, asserting Hermiticity once at construction.
+
+    Real input stays real: a real symmetric matrix is Hermitian.
+    """
+    mat = np.asarray(entries, dtype=_real_or_complex(entries))
     scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
     dev = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
     if dev > HERMITICITY_RTOL * scale:
@@ -147,10 +202,10 @@ def hermitian_operator(entries: np.ndarray, tag: str) -> Operator:
     return Operator(mat, tag)
 
 
-# single-spin Cartesian operators, eigenvalues +-1/2 for z
-_IX = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
+# single-spin Cartesian operators, eigenvalues +-1/2 for z; only I_y is complex
+_IX = 0.5 * np.array([[0, 1], [1, 0]], dtype=float)
 _IY = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
-_IZ = 0.5 * np.array([[1, 0], [0, -1]], dtype=complex)
+_IZ = 0.5 * np.array([[1, 0], [0, -1]], dtype=float)
 _SINGLE = {"x": _IX, "y": _IY, "z": _IZ}
 
 
@@ -183,7 +238,7 @@ def total_Iz(n_sites: int) -> Operator:
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
     diag = 0.5 * (n_sites - 2 * site_bits(n_sites).sum(axis=1))
-    return Operator(np.diag(diag.astype(complex)), basis_tag("ab", n_sites))
+    return Operator(np.diag(diag), basis_tag("ab", n_sites))
 
 
 def st_vectors() -> tuple[StateVector, StateVector, StateVector, StateVector]:
@@ -201,7 +256,8 @@ def st_vectors() -> tuple[StateVector, StateVector, StateVector, StateVector]:
     return tp1, t0, s0, tm1
 
 
-def expectation(op: Operator, rho: Operator) -> float:
+def expectation(op: Operator | ProjectorSum,
+                rho: Operator | ProjectorSum) -> float:
     """Tr(O rho) for Hermitian O and rho; the imaginary residue is guarded.
 
     Raises if dimensions or basis tags differ, or if the imaginary part
@@ -221,7 +277,7 @@ def expectation(op: Operator, rho: Operator) -> float:
 
 def basis_change(op: Operator, unitary: np.ndarray, new_tag: str) -> Operator:
     """Similarity transform U^dag O U into the basis named by ``new_tag``."""
-    u = np.asarray(unitary, dtype=complex)
+    u = np.asarray(unitary, dtype=_real_or_complex(unitary))
     if u.shape != (op.dim, op.dim):
         raise ValueError(f"unitary shape {u.shape} does not match dim {op.dim}")
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(op.dim))))

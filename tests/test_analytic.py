@@ -201,12 +201,30 @@ def test_spectrum_diagonalizes_for_the_order2_table_once(monkeypatch):
     calls = []
     original = analytic.aliphatic_predicted_spectrum
 
-    def counted(params, order):
+    def counted(params, order, eigenpairs=None):
         calls.append(order)
-        return original(params, order)
+        return original(params, order, eigenpairs)
 
     monkeypatch.setattr(analytic, "aliphatic_predicted_spectrum", counted)
     (job,) = presets.fig6a()
     result = pipeline.run_spectrum(dataclasses.replace(job.config, horizon=2.0))
     assert calls.count(2) == 1
     assert "nu_12/nu_34: split by 0.5909 Hz" in "\n".join(result.split_notes)
+
+
+def test_spectrum_takes_the_order2_table_from_the_propagator(monkeypatch):
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    (job,) = presets.fig6a()
+    result = pipeline.run_spectrum(dataclasses.replace(job.config, horizon=2.0))
+    assert calls == [(16, 16)]
+    monkeypatch.undo()
+    own = aliphatic_predicted_spectrum(job.config.aliphatic_params(), 2)
+    assert np.allclose([nu for _, _, nu in result.predicted.transitions],
+                       [nu for _, _, nu in own.transitions], atol=1e-12)

@@ -1,9 +1,15 @@
 """Config validation and the command-line front end."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from zqchain import analytic, cli
 from zqchain.cli import main
 from zqchain.config import (
+    MAX_STEPS,
     ConfigError,
     ScenarioConfig,
     check_dimension,
@@ -103,6 +109,41 @@ def test_size_guards():
                                            "J_anti": 2.5},
                                 t0_sites=(1,), signs=(1.0,)))
     assert "restricted-engine" in str(err.value)
+
+
+XY_J5 = {"model": "xy", "n": 4, "couplings": {"J": 5.0}, "flips": (1,)}
+
+
+@pytest.mark.parametrize("fields,field,message", [
+    ({"couplings": {"J": float("nan")}}, "couplings", "finite"),
+    ({"couplings": {"J": float("inf")}}, "couplings", "finite"),
+    ({"horizon": float("inf")}, "horizon", "finite"),
+    ({"dt": 1e-9, "horizon": 1e3}, "horizon",
+     f"1e+12 steps exceeds the {MAX_STEPS}-step limit"),
+    ({"dt": float("nan")}, "dt", "finite"),
+])
+def test_validate_rejects_non_finite_and_unbounded_input(fields, field,
+                                                         message):
+    # validation only inspects fields: nothing of the run is allocated
+    with pytest.raises(ConfigError) as err:
+        validate(ScenarioConfig(**{**XY_J5, **fields}))
+    assert err.value.field == field
+    assert message in str(err.value)
+
+
+def test_validate_rejects_non_finite_aliphatic_coupling():
+    with pytest.raises(ConfigError) as err:
+        validate(ScenarioConfig(model="aliphatic", n=3,
+                                couplings={"J_gem": -14.0, "J_gauche": 7.5,
+                                           "J_anti": float("-inf")},
+                                t0_sites=(1,), signs=(1.0,)))
+    assert err.value.field == "couplings" and "J_anti" in str(err.value)
+
+
+def test_step_limit_is_inclusive_and_tau_may_be_infinite():
+    cfg = validate(ScenarioConfig(**XY_J5, dt=0.001, horizon=MAX_STEPS * 0.001,
+                                  tau=float("inf")))
+    assert cfg.steps() == MAX_STEPS
 
 
 def test_check_dimension_limits():
@@ -346,3 +387,14 @@ def test_cli_deterministic_outputs(tmp_path):
 def test_cli_unknown_preset(capsys):
     with pytest.raises(SystemExit):
         main(["preset", "nope"])
+
+
+def test_python_m_zqchain_runs_from_a_source_checkout(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zqchain", "preset", "fig6a", "--out",
+         str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "fig6a.S0S0S0T0.report.txt").is_file()
+    assert "wrote" in proc.stdout

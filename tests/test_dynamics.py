@@ -22,7 +22,16 @@ from zqchain.hamiltonians import (
     build_aliphatic_restricted,
     build_xy,
 )
-from zqchain.spinops import expectation, lift, parse_label, single_spin_op, total_Iz
+from zqchain.spinops import (
+    Operator,
+    ProjectorSum,
+    expectation,
+    lift,
+    parse_label,
+    product_labels,
+    single_spin_op,
+    total_Iz,
+)
 
 DT = 0.005
 
@@ -281,3 +290,87 @@ def test_series_rejects_mismatched_operator():
     prop = Propagator(h)
     with pytest.raises(ValueError):
         prop.series(rho0, total_Iz(2), DT, 10)
+
+
+def _random_projector_case(rng, n, full_space):
+    """Random chain couplings, a random signed pattern, a random population."""
+    p = AliphaticParams(n, *rng.uniform(-16.0, 16.0, size=3))
+    h = build_aliphatic_full(p) if full_space else build_aliphatic_restricted(p)
+    sites = sorted(rng.choice(np.arange(1, n + 1), size=rng.integers(1, n + 1),
+                              replace=False).tolist())
+    rho0 = initial_aliphatic(InitialPattern(n, frozenset(sites)),
+                             rng.choice([1.0, -1.0], size=len(sites)),
+                             full_space)
+    labels = product_labels("st2", n)
+    obs = population_op(labels[rng.integers(len(labels))], full_space)
+    return h, rho0, obs
+
+
+@pytest.mark.parametrize("full_space,ns", [(False, (2, 3, 4, 5, 6)),
+                                           (True, (2, 3))])
+def test_factored_series_matches_series_on_dense_entries(full_space, ns):
+    rng = np.random.default_rng(20261018)
+    for n in ns:
+        for _ in range(3):
+            h, rho0, obs = _random_projector_case(rng, n, full_space)
+            prop = Propagator(h)
+            dense_rho = Operator(rho0.entries, rho0.basis_tag)
+            dense_obs = Operator(obs.entries, obs.basis_tag)
+            reference = prop.series(dense_rho, dense_obs, DT, 300).values
+            for a, b in ((rho0, obs), (rho0, dense_obs), (dense_rho, obs)):
+                values = prop.series(a, b, DT, 300).values
+                assert np.max(np.abs(values - reference)) < 1e-12
+            energy = prop.series(rho0, h, DT, 300).values
+            assert np.max(np.abs(energy - energy[0])) < 1e-10
+
+
+def test_complex_hamiltonian_series_matches_evolved_expectation():
+    n = 3
+    iy = sum(lift(single_spin_op("y"), i, n).entries for i in range(1, n + 1))
+    h = Operator(build_xy(XYParams(n, 5.0)).entries + 1.3 * iy, "ab:3")
+    prop = Propagator(h)
+    assert prop.modes.dtype == np.complex128
+    rng = np.random.default_rng(7)
+    vecs = rng.normal(size=(2 ** n, 2)) + 1j * rng.normal(size=(2 ** n, 2))
+    cases = [
+        (initial_xy(InitialPattern(n, frozenset({1}))), iz_site(2, n)),
+        (ProjectorSum([1.0, -0.5], vecs, "ab:3"), lift(single_spin_op("x"), 3, n)),
+        (ProjectorSum([1.0, -0.5], vecs, "ab:3"),
+         ProjectorSum([1.0], vecs[:, :1].conj() + 0.5, "ab:3")),
+    ]
+    steps = 40
+    for rho0, obs in cases:
+        traj = prop.series(rho0, obs, 0.01, steps)
+        expected = [expectation(Operator(obs.entries, obs.basis_tag),
+                                prop.evolve(rho0, t)) for t in traj.times]
+        assert np.max(np.abs(traj.values - expected)) < 1e-12
+
+
+def test_series_rejects_non_hermitian_operator():
+    n = 2
+    prop = Propagator(build_xy(XYParams(n, 5.0)))
+    rho = initial_xy(InitialPattern(n, frozenset({1})))
+    skews = [
+        Operator(1j * rho.entries, rho.basis_tag),          # anti-Hermitian
+        Operator(np.triu(np.ones((4, 4))), rho.basis_tag),   # real, asymmetric
+    ]
+    for skew in skews:
+        with pytest.raises(ValueError, match="imaginary residue"):
+            prop.series(skew, iz_site(1, n), DT, 100)
+        with pytest.raises(ValueError, match="imaginary residue"):
+            prop.series(rho, skew, DT, 100)
+
+
+def test_real_engines_propagate_in_float64():
+    n = 3
+    for h in (build_xy(XYParams(n, 5.0)),
+              build_aliphatic_restricted(AliphaticParams(n, -14.0, 7.5, 2.5)),
+              build_aliphatic_full(AliphaticParams(2, -14.0, 7.5, 2.5))):
+        assert h.entries.dtype == np.float64
+        assert Propagator(h).modes.dtype == np.float64
+    assert initial_xy(InitialPattern(n, frozenset({1}))).entries.dtype == np.float64
+    for full_space in (False, True):
+        rho = initial_aliphatic(InitialPattern(n, frozenset({1, 3})), [1, -1],
+                                full_space)
+        assert isinstance(rho, ProjectorSum)
+        assert rho.vectors.dtype == np.float64 and rho.vectors.shape[1] == 2

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from zqchain.spinops import (
+    Operator,
     ProductLabel,
+    ProjectorSum,
     basis_change,
     basis_tag,
     commutator,
@@ -194,3 +196,36 @@ def test_site_bits_mark_excited_symbols_in_label_order():
             expected = [[int(s == excited) for s in lab.sites]
                         for lab in product_labels(alphabet, n)]
             assert np.array_equal(bits, expected)
+
+
+def test_real_input_keeps_float64_and_i_y_stays_complex():
+    for axis in ("x", "z"):
+        assert single_spin_op(axis).entries.dtype == np.float64
+        assert lift(single_spin_op(axis), 2, 3).entries.dtype == np.float64
+    assert single_spin_op("y").entries.dtype == np.complex128
+    assert lift(single_spin_op("y"), 2, 3).entries.dtype == np.complex128
+    assert total_Iz(3).entries.dtype == np.float64
+    assert Operator([[1, 0], [0, 2]], "ab:1").entries.dtype == np.float64
+    real = hermitian_operator(np.array([[1.0, 2.0], [2.0, 3.0]]), "ab:1")
+    assert real.entries.dtype == np.float64
+    assert st_vectors()[2].entries.dtype == np.float64
+
+
+def test_projector_sum_entries_and_checks():
+    vecs = np.array([[1.0, 0.0], [0.0, 0.6], [0.0, 0.8]])
+    op = ProjectorSum([2.0, -1.0], vecs, "x:3")
+    assert op.dim == 3
+    expected = 2.0 * np.outer(vecs[:, 0], vecs[:, 0]) - np.outer(vecs[:, 1],
+                                                                 vecs[:, 1])
+    assert np.array_equal(op.entries, expected)
+    assert op.entries.dtype == np.float64
+    with pytest.raises(ValueError, match="real"):
+        ProjectorSum([1j, 1.0], vecs, "x:3")
+    with pytest.raises(ValueError, match="finite"):
+        ProjectorSum([np.nan, 1.0], vecs, "x:3")
+    with pytest.raises(ValueError, match="finite"):
+        ProjectorSum([np.inf, 1.0], vecs, "x:3")
+    with pytest.raises(ValueError, match="vector array"):
+        ProjectorSum([1.0], vecs, "x:3")
+    with pytest.raises(ValueError, match="vector array"):
+        ProjectorSum([1.0, 1.0, 1.0], vecs[:, 0], "x:3")
