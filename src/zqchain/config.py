@@ -22,6 +22,9 @@ MAX_FULL_DIM = 4096        # alpha/beta spaces (xy chains, full engine)
 MAX_RESTRICTED_DIM = 16384  # {T0,S0} fictitious-spin spaces
 # time steps per trajectory (horizon/dt); the default run takes 4000
 MAX_STEPS = 1_000_000
+# padded samples per FFT, (steps + 1) * zero_pad; MAX_STEPS at the default
+# zero_pad of 4 fits
+MAX_FFT_POINTS = 2 ** 24
 
 
 class ConfigError(ValueError):
@@ -150,6 +153,10 @@ def validate(cfg: ScenarioConfig, path: str | None = None,
         fail("tau", f"must be positive, got {cfg.tau}")
     if cfg.zero_pad < 1:
         fail("zero_pad", f"must be >= 1, got {cfg.zero_pad}")
+    if (cfg.steps() + 1) * cfg.zero_pad > MAX_FFT_POINTS:
+        fail("zero_pad", f"(steps + 1) * zero_pad = "
+                         f"{(cfg.steps() + 1) * cfg.zero_pad} padded points "
+                         f"exceeds the {MAX_FFT_POINTS}-point FFT limit")
 
     # observable expansion performs its own symbol validation
     try:

@@ -7,6 +7,12 @@ A real Hamiltonian is decomposed in real arithmetic. Projector states and
 populations are kept as weights and vectors (spinops.ProjectorSum), so a
 sample costs dim * terms between two of them and dim^2 otherwise.
 
+Every series a Propagator samples on one time grid (dt, steps) reads one
+table of cos and sin of the phase angles 2 pi E_j t, computed on the
+first call. The table is kept up to PHASE_CACHE numbers each for cos and
+sin; rows past that are recomputed per call, so a propagator holds at most
+2 * PHASE_CACHE phase numbers whatever the grid.
+
 Initial states are deviation density operators (traceless, not positive
 semidefinite). XY patterns are normalized so each site reads +-1/2, i.e.
 the trajectories are per-site polarizations; methylene-chain patterns are
@@ -33,6 +39,9 @@ from .spinops import (
 
 DEFAULT_DT = 0.005     # s
 DEFAULT_HORIZON = 20.0  # s
+
+SERIES_BLOCK = 2 ** 20  # phase numbers per row block of a series
+PHASE_CACHE = 2 ** 22   # phase numbers kept per table (cos, sin) of one grid
 
 
 @dataclass(frozen=True)
@@ -141,11 +150,26 @@ def initial_aliphatic(pattern: InitialPattern, signs,
     return _projector_sum(labels, [float(s) for s in signs], full_space)
 
 
+def phase_plan(steps: int, dim: int) -> tuple[int, int]:
+    """Rows per phase block, and rows kept, of a steps + 1 row time grid.
+
+    A block holds at most SERIES_BLOCK numbers (at least one row). The kept
+    rows are the blocks from row 0 on whose end fits PHASE_CACHE numbers,
+    so a kept table never holds more than PHASE_CACHE numbers.
+    """
+    rows = max(1, min(steps + 1, SERIES_BLOCK // max(dim, 1)))
+    fit = PHASE_CACHE // max(dim, 1)
+    kept = steps + 1 if steps + 1 <= fit else fit // rows * rows
+    return rows, kept
+
+
 class Propagator:
     """One eigendecomposition of H (in Hz), shared across all time samples.
 
     A real symmetric H is decomposed in real arithmetic, so its modes are
     real; a complex Hermitian H (one with an I_y term) takes the same code.
+    The phase table of the last time grid and the eigenbasis form of the
+    last rho0 are kept on the instance for the calls that follow.
     """
 
     def __init__(self, hamiltonian: Operator):
@@ -156,13 +180,17 @@ class Propagator:
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise ValueError("eigendecomposition failed; Hamiltonian is "
                              "likely not Hermitian") from exc
+        self._grid = None    # (dt, steps) of the kept phase blocks
+        self._phases = []    # kept (cos, sin) row blocks, from row 0 on
+        self._rho0 = None    # last rho0 (immutable) and V^H rho0 V
+        self._rho0_e = None
 
     def evolve(self, rho0: Operator | ProjectorSum, t: float) -> Operator:
         """rho(t) for a single time; exact unitary evolution."""
         self._check(rho0)
         phases = np.exp(-2j * np.pi * self.energies * t)
         u = self.modes * phases  # V diag(phases)
-        rho_t = u @ self._in_eigenbasis(rho0) @ u.conj().T
+        rho_t = u @ self._rho0_in_eigenbasis(rho0) @ u.conj().T
         rho_t = 0.5 * (rho_t + rho_t.conj().T)  # strip roundoff skew
         return hermitian_operator(rho_t, rho0.basis_tag)
 
@@ -180,6 +208,12 @@ class Propagator:
         dim^2 per sample, after a basis change of dim^3 for a dense operand
         and dim^2 * terms for a ProjectorSum. Its imaginary part, which
         vanishes for Hermitian operands, is guarded.
+
+        Both forms read cos and sin of theta in row blocks of SERIES_BLOCK
+        numbers. The blocks of one (dt, steps) grid are computed once and
+        kept while the rows up to a block's end fit in PHASE_CACHE numbers;
+        later calls on that grid reuse them and recompute only the rest. A
+        new grid drops the kept blocks.
         """
         self._check(rho0)
         self._check(observable)
@@ -191,12 +225,29 @@ class Propagator:
             form = self._bilinear_form(rho0, observable)
 
         out = np.empty(steps + 1)
-        chunk = max(1, min(steps + 1, 2 ** 21 // max(self.dim, 1)))
-        for start in range(0, steps + 1, chunk):
-            tt = np.arange(start, min(start + chunk, steps + 1)) * dt
-            theta = 2 * np.pi * np.outer(tt, self.energies)
-            out[start:start + len(tt)] = form(np.cos(theta), np.sin(theta))
+        for start, cos, sin in self._phase_blocks(dt, steps):
+            out[start:start + len(cos)] = form(cos, sin)
         return Trajectory(dt, out, observable_id)
+
+    def _phase_blocks(self, dt: float, steps: int):
+        """(start, cos theta, sin theta) by row block; kept blocks come first."""
+        if self._grid != (dt, steps):
+            self._grid, self._phases = (dt, steps), []
+        rows, kept = phase_plan(steps, self.dim)
+        for k, start in enumerate(range(0, steps + 1, rows)):
+            if k < len(self._phases):
+                yield (start, *self._phases[k])
+                continue
+            stop = min(start + rows, steps + 1)
+            theta = 2 * np.pi * np.outer(np.arange(start, stop) * dt,
+                                         self.energies)
+            sin = np.sin(theta)
+            cos = np.cos(theta, out=theta)
+            if stop <= kept:
+                cos.setflags(write=False)
+                sin.setflags(write=False)
+                self._phases.append((cos, sin))
+            yield start, cos, sin
 
     def _amplitude_form(self, rho0: ProjectorSum, observable: ProjectorSum):
         a = self.modes.conj().T @ rho0.vectors
@@ -211,14 +262,18 @@ class Propagator:
         return form
 
     def _bilinear_form(self, rho0, observable):
-        bilinear = self._in_eigenbasis(rho0) * self._in_eigenbasis(observable).T
+        bilinear = (self._rho0_in_eigenbasis(rho0)
+                    * self._in_eigenbasis(observable).T)
 
         def form(cos, sin):
-            # p^T B conj(p) with p = cos - i sin
-            x, y = cos @ bilinear, sin @ bilinear
-            sig = (np.einsum("tk,tk->t", x, cos) + np.einsum("tk,tk->t", y, sin)
-                   + 1j * (np.einsum("tk,tk->t", x, sin)
-                           - np.einsum("tk,tk->t", y, cos)))
+            # p^T B conj(p) with p = cos - i sin; cos @ B and then sin @ B
+            # share one buffer, so a block holds one rows x dim product
+            prod = cos @ bilinear
+            xc = np.einsum("tk,tk->t", prod, cos)
+            xs = np.einsum("tk,tk->t", prod, sin)
+            np.matmul(sin, bilinear, out=prod)
+            sig = (xc + np.einsum("tk,tk->t", prod, sin)
+                   + 1j * (xs - np.einsum("tk,tk->t", prod, cos)))
             residue = float(np.max(np.abs(sig.imag)))
             scale = max(1.0, float(np.max(np.abs(sig.real))))
             if residue > IMAG_RESIDUE_TOL * scale:
@@ -226,6 +281,13 @@ class Propagator:
                                  "non-Hermitian inputs?")
             return sig.real
         return form
+
+    def _rho0_in_eigenbasis(self, rho0: Operator | ProjectorSum) -> np.ndarray:
+        """V^H rho0 V, kept for the last rho0 (operators are write-protected)."""
+        if rho0 is not self._rho0:
+            self._rho0, self._rho0_e = rho0, self._in_eigenbasis(rho0)
+            self._rho0_e.setflags(write=False)
+        return self._rho0_e
 
     def _in_eigenbasis(self, op: Operator | ProjectorSum) -> np.ndarray:
         """V^H O V."""

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from zqchain import analytic, cli
+from zqchain import analytic, cli, presets
 from zqchain.cli import main
 from zqchain.config import (
+    MAX_FFT_POINTS,
     MAX_STEPS,
     ConfigError,
     ScenarioConfig,
@@ -144,6 +145,22 @@ def test_step_limit_is_inclusive_and_tau_may_be_infinite():
     cfg = validate(ScenarioConfig(**XY_J5, dt=0.001, horizon=MAX_STEPS * 0.001,
                                   tau=float("inf")))
     assert cfg.steps() == MAX_STEPS
+
+
+def test_zero_pad_is_bounded_by_the_fft_limit():
+    # validation only multiplies: no padded signal is allocated
+    with pytest.raises(ConfigError) as err:
+        validate(ScenarioConfig(**XY_J5, zero_pad=10 ** 9))
+    assert err.value.field == "zero_pad"
+    assert f"the {MAX_FFT_POINTS}-point FFT limit" in str(err.value)
+    largest = MAX_FFT_POINTS // 4001  # the default 20 s / 5 ms grid
+    assert validate(ScenarioConfig(**XY_J5, zero_pad=largest)).zero_pad == largest
+    with pytest.raises(ConfigError, match="FFT limit"):
+        validate(ScenarioConfig(**XY_J5, zero_pad=largest + 1))
+    # every preset validates as it expands, and so do the CLI defaults
+    for name in presets.PRESETS:
+        presets.expand(name)
+    config_from_overrides({"couplings": {"J": 5.0}, "flips": [1]})
 
 
 def test_check_dimension_limits():

@@ -2,7 +2,17 @@
 import numpy as np
 import pytest
 
+from zqchain import dynamics
+from zqchain.config import (
+    MAX_FULL_DIM,
+    MAX_RESTRICTED_DIM,
+    MAX_STEPS,
+    ScenarioConfig,
+    validate,
+)
 from zqchain.dynamics import (
+    PHASE_CACHE,
+    SERIES_BLOCK,
     InitialPattern,
     Propagator,
     Trajectory,
@@ -11,6 +21,7 @@ from zqchain.dynamics import (
     initial_xy,
     linear_fit_r2,
     observe_series,
+    phase_plan,
     population_op,
     propagate,
     wavefront_arrival,
@@ -22,6 +33,7 @@ from zqchain.hamiltonians import (
     build_aliphatic_restricted,
     build_xy,
 )
+from zqchain.pipeline import run_simulate
 from zqchain.spinops import (
     Operator,
     ProjectorSum,
@@ -374,3 +386,85 @@ def test_real_engines_propagate_in_float64():
                                 full_space)
         assert isinstance(rho, ProjectorSum)
         assert rho.vectors.dtype == np.float64 and rho.vectors.shape[1] == 2
+
+
+def _both_forms(n):
+    """(H, rho0, another rho0, observable): bilinear, then amplitude form."""
+    xy = (build_xy(XYParams(n, 5.0)),
+          initial_xy(InitialPattern(n, frozenset({1}))),
+          initial_xy(InitialPattern(n, frozenset({2, 3}))), iz_site(n, n))
+    aliphatic = (build_aliphatic_restricted(AliphaticParams(n, -14.0, 7.5, 2.5)),
+                 initial_aliphatic(InitialPattern(n, frozenset({1, n})), [1, -1]),
+                 initial_aliphatic(InitialPattern(n, frozenset({2})), [1]),
+                 population_op(product_labels("st2", n)[3]))
+    return xy, aliphatic
+
+
+def _count_sines(monkeypatch):
+    """Record the size of every np.sin argument from here on."""
+    sizes = []
+    real_sin = np.sin
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return real_sin(x, *args, **kwargs)
+    monkeypatch.setattr(np, "sin", counted)
+    return sizes
+
+
+def test_series_on_a_new_grid_or_rho0_matches_a_fresh_propagator():
+    for h, rho0, other, obs in _both_forms(4):
+        prop = Propagator(h)
+        prop.series(rho0, obs, DT, 300)
+        for state, dt, steps in ((rho0, 0.007, 150), (other, 0.007, 150),
+                                 (rho0, DT, 301)):
+            again = prop.series(state, obs, dt, steps).values
+            fresh = Propagator(h).series(state, obs, dt, steps).values
+            assert np.array_equal(again, fresh)
+
+
+def test_phase_table_spanning_kept_and_recomputed_blocks(monkeypatch):
+    dim, steps = 16, 100
+    monkeypatch.setattr(dynamics, "SERIES_BLOCK", 7 * dim)
+    monkeypatch.setattr(dynamics, "PHASE_CACHE", 30 * dim)
+    rows, kept = phase_plan(steps, dim)
+    assert (rows, kept) == (7, 28)
+    sizes = _count_sines(monkeypatch)
+    for h, rho0, _, obs in _both_forms(4):
+        prop = Propagator(h)
+        sizes.clear()
+        first = prop.series(rho0, obs, DT, steps).values
+        assert sum(sizes) == (steps + 1) * dim
+        for _ in range(2):
+            sizes.clear()
+            assert np.array_equal(prop.series(rho0, obs, DT, steps).values,
+                                  first)
+            # only the rows past the kept blocks are recomputed
+            assert sum(sizes) == (steps + 1 - kept) * dim
+        assert kept * dim <= dynamics.PHASE_CACHE
+
+
+def test_kept_phase_table_is_bounded_for_every_grid():
+    # arithmetic only: the largest grids here would need tens of GB
+    for steps in (0, 1, 4000, 2 ** 20, MAX_STEPS):
+        for dim in (1, 2, 16, 512, 1024, MAX_FULL_DIM, MAX_RESTRICTED_DIM,
+                    SERIES_BLOCK + 1, PHASE_CACHE + 1):
+            rows, kept = phase_plan(steps, dim)
+            assert 1 <= rows <= steps + 1
+            assert rows == 1 or rows * dim <= SERIES_BLOCK
+            assert 0 <= kept <= steps + 1
+            assert kept * dim <= PHASE_CACHE  # per table: cos and sin
+            assert kept == steps + 1 or kept % rows == 0
+    # the default grid is kept whole at the benchmarked dimensions
+    for dim in (512, 1024):
+        assert phase_plan(4000, dim)[1] == 4001
+
+
+def test_run_simulate_computes_one_phase_table(monkeypatch):
+    cfg = validate(ScenarioConfig(model="xy", n=9, couplings={"J": 5.0},
+                                  flips=(1,)))
+    sizes = _count_sines(monkeypatch)
+    result = run_simulate(cfg)
+    # nine sites, total_Iz and H all read the same table
+    assert len(result.trajectories) == 9
+    assert sum(sizes) == (cfg.steps() + 1) * 2 ** 9

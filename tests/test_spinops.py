@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from zqchain.spinops import (
+    HERMITICITY_TILE,
     Operator,
     ProductLabel,
     ProjectorSum,
@@ -11,6 +12,7 @@ from zqchain.spinops import (
     commutator,
     expectation,
     hermitian_operator,
+    hermiticity_deviation,
     label_index,
     lift,
     parse_label,
@@ -172,6 +174,32 @@ def test_basis_change_rejects_non_unitary():
 def test_hermitian_operator_rejects_skew():
     with pytest.raises(ValueError):
         hermitian_operator(np.array([[0, 1], [0, 0]], dtype=complex), "ab:1")
+
+
+def test_tiled_hermiticity_deviation_equals_the_dense_formula():
+    rng = np.random.default_rng(5)
+    for dim in (1, 3, HERMITICITY_TILE - 1, HERMITICITY_TILE + 1,
+                2 * HERMITICITY_TILE + 37):
+        for imag in (0.0, 1.0):
+            m = rng.normal(size=(dim, dim)) + imag * 1j * rng.normal(size=(dim, dim))
+            m[-1, 0] = 50.0  # the largest entry, in the last tile row
+            for mat in (m, m + m.conj().T + 1e-13 * rng.normal(size=(dim, dim))):
+                dev, largest = hermiticity_deviation(mat)
+                assert dev == np.max(np.abs(mat - mat.conj().T))
+                assert largest == np.max(np.abs(mat))
+
+
+def test_hermitian_operator_rejects_skew_in_any_tile():
+    dim = 2 * HERMITICITY_TILE + 37
+    sym = np.ones((dim, dim))
+    for i, j in ((dim - 1, 0), (0, dim - 1), (HERMITICITY_TILE + 2, 5)):
+        skew = sym.copy()
+        skew[i, j] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_operator(skew, "big")
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_operator(skew * (1 + 1j), "big")
+    assert hermitian_operator(sym, "big").entries.dtype == np.float64
 
 
 def test_labels_roundtrip_and_index():
