@@ -1,7 +1,7 @@
-"""Closed-form spectra: tridiagonal Toeplitz eigenpairs and transition tables.
+"""Closed-form spectra: Toeplitz and free-fermion levels, transition tables.
 
 The single-excitation blocks of both chain Hamiltonians are tridiagonal
-Toeplitz matrices, whose eigenpairs are standing-wave sinusoids with
+Toeplitz matrices, whose eigenvectors are standing-wave sinusoids with
 closed-form energies E_k = A + 2*Delta*cos(k*pi/(n+1)). Levels are indexed
 k = 1..n with E_1 the largest eigenvalue for Delta > 0, so transition
 names nu_12, nu_23, ... count down from the top of the block.
@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# build_aliphatic_restricted is unused here; bench/tracing.py wraps it by name
 from .hamiltonians import AliphaticParams, build_aliphatic_restricted
-from .spinops import StateVector, site_bits
+from .spinops import StateVector
 
 # below this separation two transitions are reported as coincident
 DEGENERACY_TOL_HZ = 1e-6
@@ -99,38 +100,34 @@ def pt2_splitting_estimate(delta_j: float, j_gem: float) -> float:
     return 0.25 * delta_j ** 2 / j_gem
 
 
-def aliphatic_predicted_spectrum(params: AliphaticParams, order: int,
-                                 eigenpairs=None) -> TransitionTable:
+def aliphatic_predicted_spectrum(params: AliphaticParams,
+                                 order: int) -> TransitionTable:
     """Predicted zero-quantum transitions of the methylene chain.
 
     order 0
         The pure Toeplitz table with Delta = delta_j/2 (identical to the XY
         prediction at J = delta_j); type-II mixing ignored.
     order 2
-        Frequencies from exact eigenvalues of the restricted Hamiltonian,
-        using the n levels dominated by the single-T0 manifold (one central
-        triplet walking a chain of singlets, as prepared by the standard
-        initial patterns). Captures the type-II level shifts.
-        ``eigenpairs`` is the (energies, modes) pair of that Hamiltonian
-        when the caller already has it, as a restricted-engine Propagator
-        does; otherwise the Hamiltonian is built and diagonalized here.
+        The exact single-T0 levels of the restricted Hamiltonian, a
+        transverse-field Ising chain (Lieb-Schultz-Mattis): with Lambda_k
+        the singular values of J_gem I + delta_j (superdiagonal ones),
+        E_k = -n J_gem/4 - sign(J_gem) (sum(Lambda)/2 - Lambda_k), one
+        quasiparticle on the all-S0 state (the top for J_gem < 0, the
+        bottom for J_gem > 0). Captures the type-II level shifts.
     """
     if order == 0:
         spec = ToeplitzSpec(0.0, params.delta_j / 2, params.n)
         return transition_table(toeplitz_eigenvalues(spec))
     if order != 2:
         raise ValueError("order must be 0 or 2")
+    if params.j_gem == 0:
+        raise ValueError("j_gem must be nonzero")
 
-    n = params.n
-    if eigenpairs is None:
-        eigenpairs = np.linalg.eigh(build_aliphatic_restricted(params).entries)
-    evals, evecs = eigenpairs
-    # basis states with n-1 excitations (S0 count) form the single-T0 manifold
-    manifold = site_bits(n).sum(axis=1) == n - 1
-    weights = (np.abs(evecs[manifold, :]) ** 2).sum(axis=0)
-    chosen = np.sort(np.argsort(weights)[-n:])
-    levels = np.sort(evals[chosen].real)[::-1]
-    return transition_table(levels)
+    n, j_gem = params.n, params.j_gem
+    lam = np.linalg.svd(j_gem * np.eye(n) + params.delta_j * np.eye(n, k=1),
+                        compute_uv=False)
+    levels = -n * j_gem / 4 - np.sign(j_gem) * (lam.sum() / 2 - lam)
+    return transition_table(np.sort(levels)[::-1])
 
 
 def format_transition_table(table: TransitionTable,

@@ -3,8 +3,8 @@
 Subcommands: simulate, spectrum, analytic, blocks, preset. Scenario flags
 mirror the config-file keys and override them. All computation is
 deterministic (there is no RNG anywhere); identical configs produce
-byte-identical output files, and a preset writes the same files whatever
-its --threads.
+byte-identical output files, and a preset writes the same files and prints
+the same lines, in job order, whatever its --threads.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import analytic, pipeline, presets, spectra
 from .config import (ConfigError, ScenarioConfig, check_dimension,
-                     config_from_overrides, load_config)
+                     check_table_levels, config_from_overrides, load_config)
 from .dynamics import format_trajectory_csv
 from .hamiltonians import (AliphaticParams, XYParams, build_aliphatic_full,
                            build_aliphatic_restricted, build_xy,
@@ -171,29 +171,34 @@ def _outdir(args) -> Path:
 def cmd_simulate(args) -> int:
     cfg, stem = _scenario_from_args(args)
     out = _outdir(args)
-    _run_simulate_job(cfg, stem, out)
+    for line in _run_simulate_job(cfg, stem, out):
+        print(line)
     return 0
 
 
-def _run_simulate_job(cfg: ScenarioConfig, stem: str, out: Path) -> None:
+def _run_simulate_job(cfg: ScenarioConfig, stem: str, out: Path) -> list[str]:
     result = pipeline.run_simulate(cfg)
+    lines = []
     for obs_id, traj in result.trajectories.items():
         path = out / f"{stem}.{obs_id}.traj.csv"
         path.write_text(format_trajectory_csv(traj), encoding="utf-8")
-        print(f"wrote {path}")
+        lines.append(f"wrote {path}")
     for name, dev in result.conserved.items():
-        print(f"conserved {name}: max deviation {dev:.3e}")
+        lines.append(f"conserved {name}: max deviation {dev:.3e}")
+    return lines
 
 
 def cmd_spectrum(args) -> int:
     cfg, stem = _scenario_from_args(args)
     out = _outdir(args)
-    _run_spectrum_job(cfg, stem, out)
+    for line in _run_spectrum_job(cfg, stem, out):
+        print(line)
     return 0
 
 
-def _run_spectrum_job(cfg: ScenarioConfig, stem: str, out: Path) -> None:
+def _run_spectrum_job(cfg: ScenarioConfig, stem: str, out: Path) -> list[str]:
     result = pipeline.run_spectrum(cfg)
+    lines = []
     for obs_id, spec in result.spectra.items():
         spec_path = out / f"{stem}.{obs_id}.spec.csv"
         spec_path.write_text(spectra.format_spectrum_csv(spec),
@@ -202,8 +207,8 @@ def _run_spectrum_job(cfg: ScenarioConfig, stem: str, out: Path) -> None:
                                              result.split_notes)
         report_path = out / f"{stem}.{obs_id}.report.txt"
         report_path.write_text(report, encoding="utf-8")
-        print(f"wrote {spec_path}")
-        print(f"wrote {report_path}")
+        lines += [f"wrote {spec_path}", f"wrote {report_path}"]
+    return lines
 
 
 def _analytic_params(args):
@@ -221,8 +226,7 @@ def _analytic_params(args):
 
 def cmd_analytic(args) -> int:
     params = _analytic_params(args)
-    if args.model == "aliphatic" and args.order == 2:
-        check_dimension(args.model, args.n, "restricted")
+    check_table_levels(args.n)
     out = _outdir(args)
     extra = []
     if args.model == "xy":
@@ -291,31 +295,27 @@ def cmd_preset(args) -> int:
     jobs = presets.expand(args.name)
     out = _outdir(args)
 
-    def run(job: presets.Job) -> None:
+    def run(job: presets.Job) -> list[str]:
         if job.kind == "simulate":
-            _run_simulate_job(job.config, job.stem, out)
-        elif job.kind == "spectrum":
-            _run_spectrum_job(job.config, job.stem, out)
-        elif job.kind == "blocks":
+            return _run_simulate_job(job.config, job.stem, out)
+        if job.kind == "spectrum":
+            return _run_spectrum_job(job.config, job.stem, out)
+        if job.kind == "blocks":
             path = out / f"{job.stem}.blocks.txt"
             path.write_text(_blocks_text(job.config), encoding="utf-8")
-            print(f"wrote {path}")
-        elif job.kind == "dss":
+            return [f"wrote {path}"]
+        if job.kind == "dss":
             report, residual, notes = pipeline.dss_additivity_report()
             path = out / f"{job.stem}.report.txt"
             path.write_text(spectra.format_match_report(report, notes),
                             encoding="utf-8")
-            print(f"wrote {path}")
-            print(notes[-1])
-        else:  # pragma: no cover
-            raise ValueError(f"unknown job kind {job.kind}")
+            return [f"wrote {path}", notes[-1]]
+        raise ValueError(f"unknown job kind {job.kind}")  # pragma: no cover
 
-    if args.threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            list(pool.map(run, jobs))
-    else:
-        for job in jobs:
-            run(job)
+    with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
+        for lines in pool.map(run, jobs):
+            for line in lines:
+                print(line)
     return 0
 
 

@@ -22,6 +22,8 @@ MAX_FULL_DIM = 4096        # alpha/beta spaces (xy chains, full engine)
 MAX_RESTRICTED_DIM = 16384  # {T0,S0} fictitious-spin spaces
 # time steps per trajectory (horizon/dt); the default run takes 4000
 MAX_STEPS = 1_000_000
+# levels per analytic transition table, which lists n(n-1)/2 transitions
+MAX_TABLE_LEVELS = 1000
 # padded samples per FFT, (steps + 1) * zero_pad; MAX_STEPS at the default
 # zero_pad of 4 fits
 MAX_FFT_POINTS = 2 ** 24
@@ -204,6 +206,13 @@ def check_dimension(model: str, n: int, engine: str,
                f"limit (n <= 14)")
     if too_big:
         raise ConfigError("n", msg, path, _field_line(source_text, "n"))
+
+
+def check_table_levels(n: int) -> None:
+    """Refuse, before it is built, a table of over MAX_TABLE_LEVELS levels."""
+    if n > MAX_TABLE_LEVELS:
+        raise ConfigError("n", f"{n} levels exceed the {MAX_TABLE_LEVELS}-level "
+                               f"transition-table limit")
 
 
 def _field_line(source_text: str | None, fld: str) -> int | None:

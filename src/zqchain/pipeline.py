@@ -61,13 +61,12 @@ def build_observable(cfg: ScenarioConfig, target) -> Operator | ProjectorSum:
     return dynamics.population_op(label, full_space=(cfg.engine == "full"))
 
 
-def predicted_table(cfg: ScenarioConfig, order: int = 2,
-                    eigenpairs=None) -> analytic.TransitionTable:
-    """Analytic lines; ``eigenpairs`` of the restricted H spare an eigh."""
+def predicted_table(cfg: ScenarioConfig,
+                    order: int = 2) -> analytic.TransitionTable:
+    """Analytic lines: the XY Toeplitz table, or the aliphatic order-2 table."""
     if cfg.model == "xy":
         return analytic.xy_predicted_spectrum(cfg.n, float(cfg.couplings["J"]))
-    return analytic.aliphatic_predicted_spectrum(cfg.aliphatic_params(), order,
-                                                 eigenpairs)
+    return analytic.aliphatic_predicted_spectrum(cfg.aliphatic_params(), order)
 
 
 def run_simulate(cfg: ScenarioConfig) -> SimulationResult:
@@ -76,10 +75,6 @@ def run_simulate(cfg: ScenarioConfig) -> SimulationResult:
     Also tracks conserved quantities: total I_z (xy model) and the energy,
     both of which must stay flat to numerical precision.
     """
-    return _simulate(cfg)[0]
-
-
-def _simulate(cfg: ScenarioConfig) -> tuple[SimulationResult, dynamics.Propagator]:
     h = build_hamiltonian(cfg)
     rho0 = build_initial(cfg)
     prop = dynamics.Propagator(h)
@@ -98,7 +93,7 @@ def _simulate(cfg: ScenarioConfig) -> tuple[SimulationResult, dynamics.Propagato
                                                       - series.values[0])))
     energy = prop.series(rho0, h, cfg.dt, steps, "H")
     conserved["<H>"] = float(np.max(np.abs(energy.values - energy.values[0])))
-    return SimulationResult(cfg, trajectories, conserved), prop
+    return SimulationResult(cfg, trajectories, conserved)
 
 
 def run_spectrum(cfg: ScenarioConfig,
@@ -108,14 +103,12 @@ def run_spectrum(cfg: ScenarioConfig,
 
     The match tolerance defaults to one padded grid bin. For the aliphatic
     model the report also states which degenerate line pairs of the
-    zeroth-order table are split by type-II mixing. The order-2 table of
-    the restricted engine reuses the propagator's eigenpairs.
+    zeroth-order table are split by type-II mixing. The tables need no
+    matrix and come first, so J_gem = 0 fails before anything is simulated.
     """
-    sim, prop = _simulate(cfg)
-    restricted = cfg.model == "aliphatic" and cfg.engine == "restricted"
-    table = predicted_table(cfg, eigenpairs=((prop.energies, prop.modes)
-                                             if restricted else None))
+    table = predicted_table(cfg)
     split_notes = _split_notes(cfg, table)
+    sim = run_simulate(cfg)
 
     spectra_out = {}
     reports = {}

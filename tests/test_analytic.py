@@ -15,7 +15,8 @@ from zqchain.analytic import (
     transition_table,
     xy_predicted_spectrum,
 )
-from zqchain.hamiltonians import AliphaticParams
+from zqchain.hamiltonians import AliphaticParams, build_aliphatic_restricted
+from zqchain.spinops import site_bits
 
 ALI = AliphaticParams.from_deltas(4, -14.0, 5.0, 10.0)
 
@@ -201,9 +202,9 @@ def test_spectrum_diagonalizes_for_the_order2_table_once(monkeypatch):
     calls = []
     original = analytic.aliphatic_predicted_spectrum
 
-    def counted(params, order, eigenpairs=None):
+    def counted(params, order):
         calls.append(order)
-        return original(params, order, eigenpairs)
+        return original(params, order)
 
     monkeypatch.setattr(analytic, "aliphatic_predicted_spectrum", counted)
     (job,) = presets.fig6a()
@@ -212,7 +213,7 @@ def test_spectrum_diagonalizes_for_the_order2_table_once(monkeypatch):
     assert "nu_12/nu_34: split by 0.5909 Hz" in "\n".join(result.split_notes)
 
 
-def test_spectrum_takes_the_order2_table_from_the_propagator(monkeypatch):
+def test_spectrum_makes_one_16x16_eigh(monkeypatch):
     calls = []
     original = np.linalg.eigh
 
@@ -228,3 +229,41 @@ def test_spectrum_takes_the_order2_table_from_the_propagator(monkeypatch):
     own = aliphatic_predicted_spectrum(job.config.aliphatic_params(), 2)
     assert np.allclose([nu for _, _, nu in result.predicted.transitions],
                        [nu for _, _, nu in own.transitions], atol=1e-12)
+
+
+def _weight_ranked_levels(params):
+    """The n restricted eigenvalues with most weight on the single-T0 manifold."""
+    evals, evecs = np.linalg.eigh(build_aliphatic_restricted(params).entries)
+    manifold = site_bits(params.n).sum(axis=1) == params.n - 1
+    weights = (np.abs(evecs[manifold, :]) ** 2).sum(axis=0)
+    return np.sort(evals[np.argsort(weights)[-params.n:]].real)[::-1]
+
+
+def test_order2_free_fermion_levels_match_dense_restricted_oracle():
+    rng = np.random.default_rng(6)
+    for n in range(2, 11):
+        for sign in (-1.0, 1.0):
+            j_gem = sign * rng.uniform(5.0, 20.0)
+            delta_j = rng.uniform(-0.95, 0.95) * abs(j_gem)
+            params = AliphaticParams.from_deltas(n, j_gem, delta_j,
+                                                 rng.uniform(0.0, 12.0))
+            table = aliphatic_predicted_spectrum(params, order=2)
+            levels = np.array([e for _, e in table.energies])
+            assert np.max(np.abs(levels - _weight_ranked_levels(params))) < 1e-10
+
+
+def test_order2_table_refuses_zero_j_gem():
+    with pytest.raises(ValueError, match="j_gem must be nonzero"):
+        aliphatic_predicted_spectrum(AliphaticParams(4, 0.0, 7.5, 2.5), order=2)
+
+
+def test_zero_j_gem_spectrum_fails_before_simulating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("simulated before the order-2 table was built")
+    for name in ("build_hamiltonian", "build_initial", "build_observable"):
+        monkeypatch.setattr(pipeline, name, refuse)
+    (job,) = presets.fig6a()
+    cfg = dataclasses.replace(job.config, couplings={
+        "J_gem": 0.0, "J_gauche": 7.5, "J_anti": 2.5})
+    with pytest.raises(ValueError, match="j_gem must be nonzero"):
+        pipeline.run_spectrum(cfg)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zqchain import analytic, cli, presets
@@ -11,9 +12,11 @@ from zqchain.cli import main
 from zqchain.config import (
     MAX_FFT_POINTS,
     MAX_STEPS,
+    MAX_TABLE_LEVELS,
     ConfigError,
     ScenarioConfig,
     check_dimension,
+    check_table_levels,
     config_from_overrides,
     load_config,
     validate,
@@ -197,19 +200,41 @@ def test_blocks_and_analytic_refuse_oversized_chains(tmp_path, capsys,
              "2^13 exceeds the 4096-dim full-matrix"),
             (["blocks", "--model", "aliphatic", "--n", "7", *ALIPHATIC_FLAGS],
              "4^7 exceeds the 4096-dim full-engine"),
-            (["analytic", "--model", "aliphatic", "--n", "15", "--order", "2",
-              *ALIPHATIC_FLAGS], "2^15 exceeds the 16384-dim restricted")):
+            (["analytic", "--model", "aliphatic", "--n",
+              str(MAX_TABLE_LEVELS + 1), "--order", "2", *ALIPHATIC_FLAGS],
+             f"exceed the {MAX_TABLE_LEVELS}-level transition-table limit")):
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
-def test_analytic_tables_without_a_matrix_have_no_size_limit(tmp_path,
-                                                           no_builds):
+def test_analytic_tables_pass_the_matrix_size_guards(tmp_path, no_builds):
     assert main(["analytic", "--model", "xy", "--n", "16", "--j", "5",
                  "--out", str(tmp_path)]) == 0
     assert main(["analytic", "--model", "aliphatic", "--n", "16",
                  "--order", "0", *ALIPHATIC_FLAGS, "--out", str(tmp_path)]) == 0
+    assert main(["analytic", "--model", "aliphatic", "--n", "15",
+                 "--order", "2", *ALIPHATIC_FLAGS, "--out", str(tmp_path)]) == 0
+
+
+def test_analytic_order2_long_chain_needs_no_eigh(tmp_path, monkeypatch,
+                                                  no_builds):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called for the order-2 table")
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert main(["analytic", "--model", "aliphatic", "--n", "200",
+                 "--order", "2", *ALIPHATIC_FLAGS, "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "analytic-aliphatic-n200-order2.analytic.txt").read_text()
+    assert "nu_199200 = " in text
+
+
+def test_table_level_bound_arithmetic():
+    assert MAX_TABLE_LEVELS == 1000
+    check_table_levels(1000)
+    with pytest.raises(ConfigError) as err:
+        check_table_levels(1001)
+    assert ("1001 levels exceed the 1000-level transition-table limit"
+            in str(err.value))
 
 
 def test_observe_label_needs_matching_length():
@@ -331,6 +356,16 @@ def test_cli_preset_fig6a_report_flags_splits(tmp_path):
     assert "nu_23: single line" in text
     assert "nu_14: single line" in text
     assert "pt2 splitting estimate (1/4 dJ^2/J_gem): -0.4464 Hz" in text
+
+
+def test_cli_preset_stdout_does_not_depend_on_threads(tmp_path, capsys):
+    outputs = []
+    for threads in ("1", "4"):
+        assert main(["preset", "fig7", "--threads", threads,
+                     "--out", str(tmp_path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[0].endswith("fig7-n2-inv1.site1.spec.csv")
 
 
 def test_cli_preset_fig7_grid_and_mirror_pairs(tmp_path):
