@@ -70,11 +70,16 @@ class TransitionTable:
 
     def distinct_frequencies(self, tol: float = DEGENERACY_TOL_HZ) -> list[float]:
         """Sorted transition frequencies with degenerate lines merged."""
-        out: list[float] = []
-        for nu in sorted(abs(t[2]) for t in self.transitions):
-            if not out or abs(nu - out[-1]) > tol:
-                out.append(nu)
-        return out
+        return merge_degenerate((t[2] for t in self.transitions), tol)
+
+
+def merge_degenerate(freqs, tol: float = DEGENERACY_TOL_HZ) -> list[float]:
+    """Sorted |frequencies|; one within tol of the last kept is merged into it."""
+    out: list[float] = []
+    for nu in sorted(abs(float(f)) for f in freqs):
+        if not out or abs(nu - out[-1]) > tol:
+            out.append(nu)
+    return out
 
 
 def transition_table(energies) -> TransitionTable:

@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: simulate, spectrum, analytic, blocks, preset. Scenario flags
-mirror the config-file keys and override them. All computation is
-deterministic (there is no RNG anywhere); identical configs produce
-byte-identical output files, and a preset writes the same files and prints
-the same lines, in job order, whatever its --threads.
+mirror the config-file keys and override them. Every command describes its
+chain as a ScenarioConfig: simulate and spectrum validate a whole scenario,
+analytic and blocks check only the chain (config.check_chain). Each job
+kind has one runner in RUNNERS, shared by its subcommand and by preset.
+All computation is deterministic (there is no RNG anywhere); identical
+configs produce byte-identical output files, and a preset writes the same
+files and prints the same lines, in job order, whatever its --threads.
 """
 from __future__ import annotations
 
@@ -14,12 +17,11 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import analytic, pipeline, presets, spectra
-from .config import (ConfigError, ScenarioConfig, check_dimension,
+from .config import (ScenarioConfig, check_chain, check_dimension,
                      check_table_levels, config_from_overrides, load_config)
 from .dynamics import format_trajectory_csv
-from .hamiltonians import (AliphaticParams, XYParams, build_aliphatic_full,
-                           build_aliphatic_restricted, build_xy,
-                           classify_couplings, extract_blocks,
+from .hamiltonians import (build_aliphatic_full, build_aliphatic_restricted,
+                           build_xy, classify_couplings, extract_blocks,
                            format_block_dump, restricted_labels, st_basis)
 from .spinops import basis_change, product_labels
 
@@ -29,10 +31,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -46,14 +45,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory")
 
-    scenario = argparse.ArgumentParser(add_help=False, parents=[common])
+    couplings = argparse.ArgumentParser(add_help=False, parents=[common])
+    couplings.add_argument("--j", type=float, help="XY coupling J in Hz")
+    couplings.add_argument("--j-gem", type=float)
+    couplings.add_argument("--j-gauche", type=float)
+    couplings.add_argument("--j-anti", type=float)
+
+    scenario = argparse.ArgumentParser(add_help=False, parents=[couplings])
     scenario.add_argument("--config", help="YAML scenario file")
     scenario.add_argument("--model", choices=["xy", "aliphatic"])
     scenario.add_argument("--n", type=int)
-    scenario.add_argument("--j", type=float, help="XY coupling J in Hz")
-    scenario.add_argument("--j-gem", type=float)
-    scenario.add_argument("--j-gauche", type=float)
-    scenario.add_argument("--j-anti", type=float)
     scenario.add_argument("--flips", help="comma list of inverted sites (xy)")
     scenario.add_argument("--t0-sites",
                           help="comma list of T0 term sites (aliphatic)")
@@ -66,33 +67,25 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--zero-pad", type=int)
     scenario.add_argument("--engine", choices=["restricted", "full"])
 
+    chain = argparse.ArgumentParser(add_help=False, parents=[couplings])
+    chain.add_argument("--model", choices=["xy", "aliphatic"], required=True)
+    chain.add_argument("--n", type=int, required=True)
+
     p = sub.add_parser("simulate", parents=[scenario],
                        help="write expectation-value trajectories")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_scenario)
 
     p = sub.add_parser("spectrum", parents=[scenario],
                        help="write spectra and peak-match reports")
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(func=cmd_scenario)
 
-    p = sub.add_parser("analytic", parents=[common],
+    p = sub.add_parser("analytic", parents=[chain],
                        help="write closed-form transition tables")
-    p.add_argument("--model", choices=["xy", "aliphatic"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=float)
-    p.add_argument("--j-gem", type=float)
-    p.add_argument("--j-gauche", type=float)
-    p.add_argument("--j-anti", type=float)
     p.add_argument("--order", type=int, choices=[0, 2], default=2)
     p.set_defaults(func=cmd_analytic)
 
-    p = sub.add_parser("blocks", parents=[common],
+    p = sub.add_parser("blocks", parents=[chain],
                        help="write excitation-block structure dumps")
-    p.add_argument("--model", choices=["xy", "aliphatic"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=float)
-    p.add_argument("--j-gem", type=float)
-    p.add_argument("--j-gauche", type=float)
-    p.add_argument("--j-anti", type=float)
     p.set_defaults(func=cmd_blocks)
 
     p = sub.add_parser("preset", parents=[common],
@@ -106,10 +99,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # -- scenario assembly -------------------------------------------------------
 
+def _couplings(args) -> dict:
+    """The coupling flags given, keyed as in a scenario's couplings."""
+    given = {"J": args.j, "J_gem": args.j_gem, "J_gauche": args.j_gauche,
+             "J_anti": args.j_anti}
+    return {key: value for key, value in given.items() if value is not None}
+
+
 def _scenario_from_args(args) -> tuple[ScenarioConfig, str]:
     overrides = {
         "model": args.model,
         "n": args.n,
+        "couplings": _couplings(args) or None,
         "observe": _split_list(args.observe),
         "dt": args.dt,
         "horizon": args.horizon,
@@ -120,25 +121,16 @@ def _scenario_from_args(args) -> tuple[ScenarioConfig, str]:
         "t0_sites": _split_ints(args.t0_sites),
         "signs": _split_signs(args.signs),
     }
-    couplings = {}
-    if args.j is not None:
-        couplings["J"] = args.j
-    if args.j_gem is not None:
-        couplings["J_gem"] = args.j_gem
-    if args.j_gauche is not None:
-        couplings["J_gauche"] = args.j_gauche
-    if args.j_anti is not None:
-        couplings["J_anti"] = args.j_anti
-    if couplings:
-        overrides["couplings"] = couplings
-
     if args.config:
-        cfg = load_config(args.config, overrides)
-        stem = Path(args.config).stem
-    else:
-        cfg = config_from_overrides(overrides)
-        stem = "scenario"
-    return cfg, stem
+        return load_config(args.config, overrides), Path(args.config).stem
+    return config_from_overrides(overrides), "scenario"
+
+
+def _chain_from_args(args) -> ScenarioConfig:
+    """The chain of an analytic or blocks command, checked before any build."""
+    cfg = ScenarioConfig(model=args.model, n=args.n, couplings=_couplings(args))
+    check_chain(cfg)
+    return cfg
 
 
 def _split_list(text):
@@ -166,15 +158,7 @@ def _outdir(args) -> Path:
     return out
 
 
-# -- subcommands --------------------------------------------------------------
-
-def cmd_simulate(args) -> int:
-    cfg, stem = _scenario_from_args(args)
-    out = _outdir(args)
-    for line in _run_simulate_job(cfg, stem, out):
-        print(line)
-    return 0
-
+# -- job runners: (config, stem, output directory) -> stdout lines -----------
 
 def _run_simulate_job(cfg: ScenarioConfig, stem: str, out: Path) -> list[str]:
     result = pipeline.run_simulate(cfg)
@@ -186,14 +170,6 @@ def _run_simulate_job(cfg: ScenarioConfig, stem: str, out: Path) -> list[str]:
     for name, dev in result.conserved.items():
         lines.append(f"conserved {name}: max deviation {dev:.3e}")
     return lines
-
-
-def cmd_spectrum(args) -> int:
-    cfg, stem = _scenario_from_args(args)
-    out = _outdir(args)
-    for line in _run_spectrum_job(cfg, stem, out):
-        print(line)
-    return 0
 
 
 def _run_spectrum_job(cfg: ScenarioConfig, stem: str, out: Path) -> list[str]:
@@ -211,68 +187,32 @@ def _run_spectrum_job(cfg: ScenarioConfig, stem: str, out: Path) -> list[str]:
     return lines
 
 
-def _analytic_params(args):
-    if args.model == "xy":
-        if args.j is None:
-            raise ConfigError("couplings", "xy model needs --j")
-        return XYParams(args.n, args.j)
-    missing = [f for f, v in (("--j-gem", args.j_gem),
-                              ("--j-gauche", args.j_gauche),
-                              ("--j-anti", args.j_anti)) if v is None]
-    if missing:
-        raise ConfigError("couplings", f"aliphatic model needs {missing}")
-    return AliphaticParams(args.n, args.j_gem, args.j_gauche, args.j_anti)
-
-
-def cmd_analytic(args) -> int:
-    params = _analytic_params(args)
-    check_table_levels(args.n)
-    out = _outdir(args)
-    extra = []
-    if args.model == "xy":
-        table = analytic.xy_predicted_spectrum(params.n, params.j)
-        stem = f"analytic-xy-n{params.n}"
-    else:
-        table = analytic.aliphatic_predicted_spectrum(params, args.order)
-        stem = f"analytic-aliphatic-n{params.n}-order{args.order}"
-        if args.order == 2:
-            estimate = analytic.pt2_splitting_estimate(params.delta_j,
-                                                       params.j_gem)
-            extra.append(f"pt2 splitting estimate: {estimate:.4f} Hz")
-            for (k1, l1), (k2, l2) in (((1, 2), (params.n - 1, params.n)),
-                                       ((1, 3), (2, 4))):
-                try:
-                    split = abs(table.frequency(k1, l1) - table.frequency(k2, l2))
-                except KeyError:
-                    continue
-                extra.append(f"exact nu_{k1}{l1}/nu_{k2}{l2} splitting: "
-                             f"{split:.4f} Hz")
-    path = out / f"{stem}.analytic.txt"
-    path.write_text(analytic.format_transition_table(table, extra),
-                    encoding="utf-8")
-    print(f"wrote {path}")
-    return 0
-
-
-def cmd_blocks(args) -> int:
-    params = _analytic_params(args)
-    # the aliphatic dump also types every coupling of the full engine
-    check_dimension(args.model, args.n, "full")
-    out = _outdir(args)
-    stem = f"blocks-{args.model}-n{params.n}"
+def _run_blocks_job(cfg: ScenarioConfig, stem: str, out: Path) -> list[str]:
     path = out / f"{stem}.blocks.txt"
-    path.write_text(_blocks_text(params), encoding="utf-8")
-    print(f"wrote {path}")
-    return 0
+    path.write_text(_blocks_text(cfg), encoding="utf-8")
+    return [f"wrote {path}"]
 
 
-def _blocks_text(params: XYParams | AliphaticParams) -> str:
-    if isinstance(params, XYParams):
+def _run_dss_job(cfg: None, stem: str, out: Path) -> list[str]:
+    report, residual, notes = pipeline.dss_additivity_report()
+    path = out / f"{stem}.report.txt"
+    path.write_text(spectra.format_match_report(report, notes), encoding="utf-8")
+    return [f"wrote {path}", notes[-1]]
+
+
+RUNNERS = {"simulate": _run_simulate_job, "spectrum": _run_spectrum_job,
+           "blocks": _run_blocks_job, "dss": _run_dss_job}
+
+
+def _blocks_text(cfg: ScenarioConfig) -> str:
+    if cfg.model == "xy":
+        params = cfg.xy_params()
         h = build_xy(params)
         labels = product_labels("ab", params.n)
         decomp = extract_blocks(h, labels)
         return format_block_dump(decomp, f"xy chain n={params.n}, J={params.j} Hz")
 
+    params = cfg.aliphatic_params()
     h = build_aliphatic_restricted(params)
     decomp = extract_blocks(h, restricted_labels(params.n))
     text = format_block_dump(
@@ -291,31 +231,63 @@ def _blocks_text(params: XYParams | AliphaticParams) -> str:
     return "\n".join(lines)
 
 
+# -- subcommands --------------------------------------------------------------
+
+def _print(lines: list[str]) -> int:
+    for line in lines:
+        print(line)
+    return 0
+
+
+def cmd_scenario(args) -> int:
+    """simulate or spectrum: one validated scenario through its runner."""
+    cfg, stem = _scenario_from_args(args)
+    return _print(RUNNERS[args.command](cfg, stem, _outdir(args)))
+
+
+def cmd_analytic(args) -> int:
+    cfg = _chain_from_args(args)
+    check_table_levels(cfg.n)
+    out = _outdir(args)
+    table = pipeline.predicted_table(cfg, args.order)
+    extra = []
+    if cfg.model == "xy":
+        stem = f"analytic-xy-n{cfg.n}"
+    else:
+        stem = f"analytic-aliphatic-n{cfg.n}-order{args.order}"
+        if args.order == 2:
+            params = cfg.aliphatic_params()
+            estimate = analytic.pt2_splitting_estimate(params.delta_j, params.j_gem)
+            extra.append(f"pt2 splitting estimate: {estimate:.4f} Hz")
+            for (k1, l1), (k2, l2) in (((1, 2), (cfg.n - 1, cfg.n)),
+                                       ((1, 3), (2, 4))):
+                try:
+                    split = abs(table.frequency(k1, l1) - table.frequency(k2, l2))
+                except KeyError:
+                    continue
+                extra.append(f"exact nu_{k1}{l1}/nu_{k2}{l2} splitting: "
+                             f"{split:.4f} Hz")
+    path = out / f"{stem}.analytic.txt"
+    path.write_text(analytic.format_transition_table(table, extra),
+                    encoding="utf-8")
+    return _print([f"wrote {path}"])
+
+
+def cmd_blocks(args) -> int:
+    cfg = _chain_from_args(args)
+    # the aliphatic dump also types every coupling of the full engine
+    check_dimension(cfg.model, cfg.n, "full")
+    stem = f"blocks-{cfg.model}-n{cfg.n}"
+    return _print(_run_blocks_job(cfg, stem, _outdir(args)))
+
+
 def cmd_preset(args) -> int:
     jobs = presets.expand(args.name)
     out = _outdir(args)
-
-    def run(job: presets.Job) -> list[str]:
-        if job.kind == "simulate":
-            return _run_simulate_job(job.config, job.stem, out)
-        if job.kind == "spectrum":
-            return _run_spectrum_job(job.config, job.stem, out)
-        if job.kind == "blocks":
-            path = out / f"{job.stem}.blocks.txt"
-            path.write_text(_blocks_text(job.config), encoding="utf-8")
-            return [f"wrote {path}"]
-        if job.kind == "dss":
-            report, residual, notes = pipeline.dss_additivity_report()
-            path = out / f"{job.stem}.report.txt"
-            path.write_text(spectra.format_match_report(report, notes),
-                            encoding="utf-8")
-            return [f"wrote {path}", notes[-1]]
-        raise ValueError(f"unknown job kind {job.kind}")  # pragma: no cover
-
     with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
-        for lines in pool.map(run, jobs):
-            for line in lines:
-                print(line)
+        for lines in pool.map(
+                lambda job: RUNNERS[job.kind](job.config, job.stem, out), jobs):
+            _print(lines)
     return 0
 
 

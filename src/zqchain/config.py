@@ -3,7 +3,8 @@
 A scenario is one simulation or spectrum run. Config files are YAML
 mappings whose keys mirror the CLI flag names; flags override file values.
 Every validation failure names the offending field and, when the value
-came from a file, the file and line it was set on.
+came from a file, the file and line it was set on. ``check_chain`` alone
+checks the chain itself (model, length, couplings) for every command.
 """
 from __future__ import annotations
 
@@ -88,13 +89,6 @@ class ScenarioConfig:
         return out
 
 
-_FIELD_TYPES = {
-    "model": str, "n": int, "couplings": dict, "observe": (list, str),
-    "dt": (int, float), "horizon": (int, float), "tau": (int, float),
-    "zero_pad": int, "engine": str,
-}
-
-
 def validate(cfg: ScenarioConfig, path: str | None = None,
              source_text: str | None = None) -> ScenarioConfig:
     """Check every field, raising ConfigError naming the first bad one."""
@@ -102,17 +96,8 @@ def validate(cfg: ScenarioConfig, path: str | None = None,
     def fail(fld, msg):
         raise ConfigError(fld, msg, path, _field_line(source_text, fld))
 
-    if cfg.model not in ("xy", "aliphatic"):
-        fail("model", f"must be 'xy' or 'aliphatic', got {cfg.model!r}")
-    if cfg.n < 2:
-        fail("n", f"chain length must be >= 2, got {cfg.n}")
-
+    check_chain(cfg, path, source_text)
     if cfg.model == "xy":
-        if "J" not in cfg.couplings:
-            fail("couplings", "xy model needs coupling J (Hz)")
-        if not _finite(cfg.couplings["J"]):
-            fail("couplings", f"J must be a finite number (Hz), "
-                              f"got {cfg.couplings['J']!r}")
         check_dimension(cfg.model, cfg.n, cfg.engine, path, source_text)
         for s in cfg.flips:
             if not 1 <= s <= cfg.n:
@@ -120,14 +105,6 @@ def validate(cfg: ScenarioConfig, path: str | None = None,
         if cfg.t0_sites:
             fail("t0_sites", "only meaningful for the aliphatic model")
     else:
-        missing = [k for k in ("J_gem", "J_gauche", "J_anti")
-                   if k not in cfg.couplings]
-        if missing:
-            fail("couplings", f"aliphatic model needs {missing} (Hz)")
-        bad = {k: cfg.couplings[k] for k in ("J_gem", "J_gauche", "J_anti")
-               if not _finite(cfg.couplings[k])}
-        if bad:
-            fail("couplings", f"must be finite numbers (Hz), got {bad}")
         if cfg.engine not in ("restricted", "full"):
             fail("engine", f"must be 'restricted' or 'full', got {cfg.engine!r}")
         check_dimension(cfg.model, cfg.n, cfg.engine, path, source_text)
@@ -165,6 +142,8 @@ def validate(cfg: ScenarioConfig, path: str | None = None,
         obs = cfg.observables()
     except ValueError as exc:
         fail("observe", str(exc))
+    if not obs:
+        fail("observe", "names no observables")
     for obs_id, target in obs:
         if isinstance(target, int) and not 1 <= target <= cfg.n:
             fail("observe", f"site {target} outside 1..{cfg.n}")
@@ -175,6 +154,36 @@ def validate(cfg: ScenarioConfig, path: str | None = None,
                 fail("observe", f"label {target} has {len(target)} sites, "
                                 f"chain has {cfg.n}")
     return cfg
+
+
+def check_chain(cfg: ScenarioConfig, path: str | None = None,
+                source_text: str | None = None) -> None:
+    """Refuse an unknown model, n < 2, or a missing or non-finite coupling.
+
+    ``validate`` runs this first; ``analytic`` and ``blocks``, which take no
+    scenario, run it alone before anything is built.
+    """
+
+    def fail(fld, msg):
+        raise ConfigError(fld, msg, path, _field_line(source_text, fld))
+
+    c = cfg.couplings
+    if cfg.model not in ("xy", "aliphatic"):
+        fail("model", f"must be 'xy' or 'aliphatic', got {cfg.model!r}")
+    if cfg.n < 2:
+        fail("n", f"chain length must be >= 2, got {cfg.n}")
+    if cfg.model == "xy":
+        if "J" not in c:
+            fail("couplings", "xy model needs coupling J (Hz)")
+        if not _finite(c["J"]):
+            fail("couplings", f"J must be a finite number (Hz), got {c['J']!r}")
+        return
+    missing = [k for k in ("J_gem", "J_gauche", "J_anti") if k not in c]
+    if missing:
+        fail("couplings", f"aliphatic model needs {missing} (Hz)")
+    bad = {k: c[k] for k in ("J_gem", "J_gauche", "J_anti") if not _finite(c[k])}
+    if bad:
+        fail("couplings", f"must be finite numbers (Hz), got {bad}")
 
 
 def _finite(value) -> bool:

@@ -169,7 +169,9 @@ class Propagator:
     A real symmetric H is decomposed in real arithmetic, so its modes are
     real; a complex Hermitian H (one with an I_y term) takes the same code.
     The phase table of the last time grid and the eigenbasis form of the
-    last rho0 are kept on the instance for the calls that follow.
+    last rho0 are kept on the instance for the calls that follow. Each is one
+    tuple, read once per call and replaced whole, so one Propagator may be
+    sampled from several threads.
     """
 
     def __init__(self, hamiltonian: Operator):
@@ -180,10 +182,8 @@ class Propagator:
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise ValueError("eigendecomposition failed; Hamiltonian is "
                              "likely not Hermitian") from exc
-        self._grid = None    # (dt, steps) of the kept phase blocks
-        self._phases = []    # kept (cos, sin) row blocks, from row 0 on
-        self._rho0 = None    # last rho0 (immutable) and V^H rho0 V
-        self._rho0_e = None
+        self._phases = (None, ())  # grid (dt, steps), its kept (cos, sin) blocks
+        self._rho0 = (None, None)  # last rho0 (immutable) and V^H rho0 V
 
     def evolve(self, rho0: Operator | ProjectorSum, t: float) -> Operator:
         """rho(t) for a single time; exact unitary evolution."""
@@ -231,12 +231,14 @@ class Propagator:
 
     def _phase_blocks(self, dt: float, steps: int):
         """(start, cos theta, sin theta) by row block; kept blocks come first."""
-        if self._grid != (dt, steps):
-            self._grid, self._phases = (dt, steps), []
+        grid, blocks = self._phases  # read once; new kept blocks stored at the end
+        if grid != (dt, steps):
+            self._phases = grid, blocks = (dt, steps), ()  # drop the old grid's
         rows, kept = phase_plan(steps, self.dim)
+        fresh = []
         for k, start in enumerate(range(0, steps + 1, rows)):
-            if k < len(self._phases):
-                yield (start, *self._phases[k])
+            if k < len(blocks):
+                yield (start, *blocks[k])
                 continue
             stop = min(start + rows, steps + 1)
             theta = 2 * np.pi * np.outer(np.arange(start, stop) * dt,
@@ -246,8 +248,10 @@ class Propagator:
             if stop <= kept:
                 cos.setflags(write=False)
                 sin.setflags(write=False)
-                self._phases.append((cos, sin))
+                fresh.append((cos, sin))
             yield start, cos, sin
+        if fresh:
+            self._phases = grid, blocks + tuple(fresh)
 
     def _amplitude_form(self, rho0: ProjectorSum, observable: ProjectorSum):
         a = self.modes.conj().T @ rho0.vectors
@@ -284,10 +288,12 @@ class Propagator:
 
     def _rho0_in_eigenbasis(self, rho0: Operator | ProjectorSum) -> np.ndarray:
         """V^H rho0 V, kept for the last rho0 (operators are write-protected)."""
-        if rho0 is not self._rho0:
-            self._rho0, self._rho0_e = rho0, self._in_eigenbasis(rho0)
-            self._rho0_e.setflags(write=False)
-        return self._rho0_e
+        kept, rho0_e = self._rho0
+        if rho0 is not kept:
+            rho0_e = self._in_eigenbasis(rho0)
+            rho0_e.setflags(write=False)
+            self._rho0 = rho0, rho0_e
+        return rho0_e
 
     def _in_eigenbasis(self, op: Operator | ProjectorSum) -> np.ndarray:
         """V^H O V."""

@@ -8,18 +8,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ScenarioConfig, validate
-from .hamiltonians import AliphaticParams, XYParams
+from .config import ScenarioConfig, check_chain, validate
 
 ALIPHATIC_COUPLINGS = {"J_gem": -14.0, "J_gauche": 7.5, "J_anti": 2.5}
 
 
 @dataclass(frozen=True)
 class Job:
+    """One run of a preset, by the runner ``cli.RUNNERS[kind]``."""
+
     kind: str                 # simulate | spectrum | blocks | dss
     stem: str
-    # a scenario for simulate/spectrum, the chain for blocks, None for dss
-    config: ScenarioConfig | XYParams | AliphaticParams | None = None
+    # validated for simulate/spectrum, chain-checked for blocks, None for dss
+    config: ScenarioConfig | None = None
 
 
 def _xy(n, flips, observe, **kw) -> ScenarioConfig:
@@ -36,9 +37,11 @@ def _aliphatic(n, t0_sites, signs, observe, **kw) -> ScenarioConfig:
                                    **kw))
 
 
-def _aliphatic_chain(n) -> AliphaticParams:
-    c = ALIPHATIC_COUPLINGS
-    return AliphaticParams(n, c["J_gem"], c["J_gauche"], c["J_anti"])
+def _chain(model, n) -> ScenarioConfig:
+    couplings = {"J": 5.0} if model == "xy" else dict(ALIPHATIC_COUPLINGS)
+    cfg = ScenarioConfig(model=model, n=n, couplings=couplings)
+    check_chain(cfg)
+    return cfg
 
 
 def fig1() -> list[Job]:
@@ -87,13 +90,13 @@ def fig7() -> list[Job]:
 
 def blocks_fig3() -> list[Job]:
     """Block structure of the 4-spin XY chain and the 4-pair methylene chain."""
-    return [Job("blocks", "blocks-fig3-xy", XYParams(4, 5.0)),
-            Job("blocks", "blocks-fig3-aliphatic", _aliphatic_chain(4))]
+    return [Job("blocks", "blocks-fig3-xy", _chain("xy", 4)),
+            Job("blocks", "blocks-fig3-aliphatic", _chain("aliphatic", 4))]
 
 
 def blocks_fig5() -> list[Job]:
     """Higher-excitation blocks of the 4-pair methylene chain (k = 0, 2, 4)."""
-    return [Job("blocks", "blocks-fig5-aliphatic", _aliphatic_chain(4))]
+    return [Job("blocks", "blocks-fig5-aliphatic", _chain("aliphatic", 4))]
 
 
 def dss_additivity() -> list[Job]:

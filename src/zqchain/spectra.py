@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .analytic import DEGENERACY_TOL_HZ, TransitionTable
+from .analytic import TransitionTable, merge_degenerate
 from .dynamics import Trajectory
 
 DEFAULT_TAU = 5.0
@@ -166,13 +166,8 @@ def match_peaks(peaks: Sequence[Peak],
     """
     if not tol_hz > 0:
         raise ValueError("tol_hz must be positive")
-    if isinstance(predicted, TransitionTable):
-        pred = predicted.distinct_frequencies()
-    else:
-        pred = []
-        for nu in sorted(abs(float(p)) for p in predicted):
-            if not pred or abs(nu - pred[-1]) > DEGENERACY_TOL_HZ:
-                pred.append(nu)
+    pred = (predicted.distinct_frequencies()
+            if isinstance(predicted, TransitionTable) else merge_degenerate(predicted))
 
     pairs = sorted(
         ((abs(pk.freq - nu), i, j) for i, nu in enumerate(pred)

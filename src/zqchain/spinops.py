@@ -12,6 +12,7 @@ before beta, so product states enumerate lexicographically
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as _cartesian
 
@@ -192,10 +193,13 @@ class StateVector:
 def hermitian_operator(entries: np.ndarray, tag: str) -> Operator:
     """Wrap a matrix as an Operator, asserting Hermiticity once at construction.
 
-    Real input stays real: a real symmetric matrix is Hermitian.
+    Real input stays real (a real symmetric matrix is Hermitian); a NaN or
+    infinite entry is refused.
     """
     op = Operator(entries, tag)
     dev, largest = hermiticity_deviation(op.entries)
+    if not math.isfinite(largest):
+        raise ValueError(f"matrix has a non-finite entry ({largest})")
     if dev > HERMITICITY_RTOL * max(1.0, largest):
         raise ValueError(f"matrix not Hermitian: max deviation {dev:.3e} "
                          f"(relative tolerance {HERMITICITY_RTOL})")
@@ -207,7 +211,8 @@ def hermiticity_deviation(mat: np.ndarray) -> tuple[float, float]:
 
     Tile (i, j) is compared with the conjugate transpose of tile (j, i) for
     j >= i only, which covers every entry pair, so no dim^2 temporary is
-    formed; the numbers equal the dense formulas'.
+    formed; the numbers equal the dense formulas'. A tile pair with a NaN or
+    infinite entry ends the scan and returns NaN or inf for both.
     """
     dev = largest = 0.0
     dim = mat.shape[0]
@@ -215,9 +220,11 @@ def hermiticity_deviation(mat: np.ndarray) -> tuple[float, float]:
         for j in range(i, dim, HERMITICITY_TILE):
             upper = mat[i:i + HERMITICITY_TILE, j:j + HERMITICITY_TILE]
             lower = mat[j:j + HERMITICITY_TILE, i:i + HERMITICITY_TILE].conj().T
+            up, low = float(np.max(np.abs(upper))), float(np.max(np.abs(lower)))
+            if not math.isfinite(up + low):  # NaN or inf in either tile
+                return up + low, up + low
             dev = max(dev, float(np.max(np.abs(upper - lower))))
-            largest = max(largest, float(np.max(np.abs(upper))),
-                          float(np.max(np.abs(lower))))
+            largest = max(largest, up, low)
     return dev, largest
 
 

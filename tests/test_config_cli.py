@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zqchain import analytic, cli, presets
+from zqchain import analytic, cli, pipeline, presets
 from zqchain.cli import main
 from zqchain.config import (
     MAX_FFT_POINTS,
@@ -125,6 +125,7 @@ XY_J5 = {"model": "xy", "n": 4, "couplings": {"J": 5.0}, "flips": (1,)}
     ({"dt": 1e-9, "horizon": 1e3}, "horizon",
      f"1e+12 steps exceeds the {MAX_STEPS}-step limit"),
     ({"dt": float("nan")}, "dt", "finite"),
+    ({"observe": ()}, "observe", "names no observables"),
 ])
 def test_validate_rejects_non_finite_and_unbounded_input(fields, field,
                                                          message):
@@ -206,6 +207,79 @@ def test_blocks_and_analytic_refuse_oversized_chains(tmp_path, capsys,
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["analytic", "blocks"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_analytic_and_blocks_refuse_non_finite_couplings(tmp_path, capsys,
+                                                         no_builds, command,
+                                                         bad):
+    out = tmp_path / "out"
+    chains = [["--model", "xy", f"--j={bad}"]]
+    values = dict(zip(ALIPHATIC_FLAGS[::2], ALIPHATIC_FLAGS[1::2]))
+    for flag in values:
+        chains.append(["--model", "aliphatic",
+                       *(f"{f}={bad if f == flag else v}"
+                         for f, v in values.items())])
+    for chain in chains:
+        assert main([command, "--n", "3", *chain, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "couplings:" in err and "finite" in err
+    assert not out.exists()
+
+
+def test_analytic_and_blocks_check_the_chain_as_validate_does(tmp_path, capsys,
+                                                              no_builds):
+    out = tmp_path / "out"
+    for argv, message in (
+            (["--model", "xy", "--n", "4"],
+             "couplings: xy model needs coupling J (Hz)"),
+            (["--model", "aliphatic", "--n", "4", "--j-gem", "-14"],
+             "couplings: aliphatic model needs ['J_gauche', 'J_anti'] (Hz)"),
+            (["--model", "xy", "--n", "1", "--j", "5"],
+             "n: chain length must be >= 2, got 1")):
+        for command in ("analytic", "blocks"):
+            assert main([command, *argv, "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_blocks_command_writes_the_preset_files(tmp_path):
+    assert main(["preset", "blocks-fig3", "--out", str(tmp_path / "preset")]) == 0
+    for model, flags in (("xy", ["--j", "5"]), ("aliphatic", ALIPHATIC_FLAGS)):
+        assert main(["blocks", "--model", model, "--n", "4", *flags,
+                     "--out", str(tmp_path / "cli")]) == 0
+        assert ((tmp_path / "cli" / f"blocks-{model}-n4.blocks.txt").read_bytes()
+                == (tmp_path / "preset" / f"blocks-fig3-{model}.blocks.txt")
+                .read_bytes())
+
+
+def test_analytic_command_writes_the_pipeline_table(tmp_path):
+    aliphatic = dict(zip(("J_gem", "J_gauche", "J_anti"), (-14.0, 7.5, 2.5)))
+    for model, couplings, flags, order, stem in (
+            ("xy", {"J": 5.0}, ["--j", "5"], 2, "analytic-xy-n5"),
+            ("aliphatic", aliphatic, ALIPHATIC_FLAGS, 0,
+             "analytic-aliphatic-n5-order0"),
+            ("aliphatic", aliphatic, ALIPHATIC_FLAGS, 2,
+             "analytic-aliphatic-n5-order2")):
+        assert main(["analytic", "--model", model, "--n", "5", *flags,
+                     "--order", str(order), "--out", str(tmp_path)]) == 0
+        cfg = ScenarioConfig(model=model, n=5, couplings=couplings)
+        table = pipeline.predicted_table(cfg, order)
+        text = (tmp_path / f"{stem}.analytic.txt").read_text(encoding="utf-8")
+        assert text.startswith(analytic.format_transition_table(table))
+
+
+def test_cli_spectrum_refuses_an_empty_observe_list(tmp_path, capsys,
+                                                    monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built before the observe list was checked")
+    monkeypatch.setattr(pipeline, "build_hamiltonian", refuse)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--model", "xy", "--n", "3", "--j", "5",
+                 "--flips", "1", "--observe", ",", "--out", str(out)]) == 2
+    assert "observe: names no observables" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analytic_tables_pass_the_matrix_size_guards(tmp_path, no_builds):

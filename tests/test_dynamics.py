@@ -1,4 +1,6 @@
 """Propagation: closed-form checks, conservation, engine equivalence."""
+import threading
+
 import numpy as np
 import pytest
 
@@ -468,3 +470,47 @@ def test_run_simulate_computes_one_phase_table(monkeypatch):
     # nine sites, total_Iz and H all read the same table
     assert len(result.trajectories) == 9
     assert sum(sizes) == (cfg.steps() + 1) * 2 ** 9
+
+
+def test_series_interleaved_on_two_grids_match_a_fresh_propagator(monkeypatch):
+    # a series on grid A stops part-way, a whole series on grid B runs, then
+    # A finishes: the order two threads sharing one propagator may take
+    dim, steps = 16, 100
+    monkeypatch.setattr(dynamics, "SERIES_BLOCK", 7 * dim)
+    monkeypatch.setattr(dynamics, "PHASE_CACHE", 30 * dim)
+    h, rho0, _, obs = _both_forms(4)[0]
+    grid_a, grid_b = (DT, steps), (0.007, steps)
+    fresh = {g: Propagator(h).series(rho0, obs, *g).values
+             for g in (grid_a, grid_b)}
+    prop = Propagator(h)
+    form = prop._bilinear_form(rho0, obs)
+    a = np.empty(steps + 1)
+    for k, (start, cos, sin) in enumerate(prop._phase_blocks(*grid_a)):
+        a[start:start + len(cos)] = form(cos, sin)
+        if k == 1:
+            b = prop.series(rho0, obs, *grid_b).values
+    assert np.array_equal(a, fresh[grid_a])
+    assert np.array_equal(b, fresh[grid_b])
+    for grid in (grid_a, grid_b, grid_a):
+        assert np.array_equal(prop.series(rho0, obs, *grid).values, fresh[grid])
+
+
+def test_propagator_shared_between_threads(monkeypatch):
+    monkeypatch.setattr(dynamics, "SERIES_BLOCK", 16 * 64)
+    h, rho0, _, obs = _both_forms(6)[0]
+    grids = ((DT, 1000), (0.004, 1000))
+    fresh = {g: Propagator(h).series(rho0, obs, *g).values for g in grids}
+    prop = Propagator(h)
+    wrong = []
+
+    def sample(grid):
+        for _ in range(30):
+            if not np.array_equal(prop.series(rho0, obs, *grid).values,
+                                  fresh[grid]):
+                wrong.append(grid)
+    threads = [threading.Thread(target=sample, args=(g,)) for g in grids]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not wrong

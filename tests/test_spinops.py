@@ -202,6 +202,22 @@ def test_hermitian_operator_rejects_skew_in_any_tile():
     assert hermitian_operator(sym, "big").entries.dtype == np.float64
 
 
+def test_hermitian_operator_rejects_non_finite_entries_in_any_tile():
+    dim = 2 * HERMITICITY_TILE + 37
+    sym = np.ones((dim, dim))
+    # a diagonal tile, an upper and a lower one
+    for i, j in ((3, 3), (0, dim - 1), (dim - 1, HERMITICITY_TILE + 2)):
+        for bad in (np.nan, np.inf, -np.inf):
+            for dtype in (float, complex):
+                mat = sym.astype(dtype)
+                mat[i, j] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    hermitian_operator(mat, "big")
+    for mat in ([[np.nan, 0], [0, 0]], [[0, np.inf], [1, 0]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_operator(np.array(mat), "ab:1")
+
+
 def test_labels_roundtrip_and_index():
     labels = product_labels("st2", 3)
     assert str(labels[0]) == "T0T0T0"
