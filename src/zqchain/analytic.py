@@ -121,8 +121,7 @@ def aliphatic_predicted_spectrum(params: AliphaticParams,
         bottom for J_gem > 0). Captures the type-II level shifts.
     """
     if order == 0:
-        spec = ToeplitzSpec(0.0, params.delta_j / 2, params.n)
-        return transition_table(toeplitz_eigenvalues(spec))
+        return xy_predicted_spectrum(params.n, params.delta_j)
     if order != 2:
         raise ValueError("order must be 0 or 2")
     if params.j_gem == 0:

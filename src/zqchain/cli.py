@@ -4,7 +4,11 @@ Subcommands: simulate, spectrum, analytic, blocks, preset. Scenario flags
 mirror the config-file keys and override them. Every command describes its
 chain as a ScenarioConfig: simulate and spectrum validate a whole scenario,
 analytic and blocks check only the chain (config.check_chain). Each job
-kind has one runner in RUNNERS, shared by its subcommand and by preset.
+kind has one runner in RUNNERS, shared by its subcommand and by preset: a
+runner maps (config, stem) to (files, notes), where files is an ordered
+{file name: text} and notes are its other stdout lines. Only then does
+_write make the output directory and write the files, so a command that
+fails while computing leaves no directory behind.
 All computation is deterministic (there is no RNG anywhere); identical
 configs produce byte-identical output files, and a preset writes the same
 files and prints the same lines, in job order, whatever its --threads.
@@ -28,12 +32,27 @@ from .spinops import basis_change, product_labels
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signs(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (KeyError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _join_signs(argv) -> list[str]:
+    """Spell ``--signs LIST`` as ``--signs=LIST``.
+
+    A sign list such as ``-1,1`` or ``-,+`` starts with a dash, so argparse
+    would read it as an option rather than as the value of ``--signs``.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--signs":
+            out[-1] = f"--signs={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -152,52 +171,34 @@ def _split_signs(text):
             for s in _split_list(text)]
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# -- job runners: (config, stem) -> ({file name: text}, other stdout lines) --
 
-
-# -- job runners: (config, stem, output directory) -> stdout lines -----------
-
-def _run_simulate_job(cfg: ScenarioConfig, stem: str, out: Path) -> list[str]:
+def _run_simulate_job(cfg: ScenarioConfig, stem: str):
     result = pipeline.run_simulate(cfg)
-    lines = []
-    for obs_id, traj in result.trajectories.items():
-        path = out / f"{stem}.{obs_id}.traj.csv"
-        path.write_text(format_trajectory_csv(traj), encoding="utf-8")
-        lines.append(f"wrote {path}")
-    for name, dev in result.conserved.items():
-        lines.append(f"conserved {name}: max deviation {dev:.3e}")
-    return lines
+    files = {f"{stem}.{obs_id}.traj.csv": format_trajectory_csv(traj)
+             for obs_id, traj in result.trajectories.items()}
+    return files, [f"conserved {name}: max deviation {dev:.3e}"
+                   for name, dev in result.conserved.items()]
 
 
-def _run_spectrum_job(cfg: ScenarioConfig, stem: str, out: Path) -> list[str]:
+def _run_spectrum_job(cfg: ScenarioConfig, stem: str):
     result = pipeline.run_spectrum(cfg)
-    lines = []
+    files = {}
     for obs_id, spec in result.spectra.items():
-        spec_path = out / f"{stem}.{obs_id}.spec.csv"
-        spec_path.write_text(spectra.format_spectrum_csv(spec),
-                             encoding="utf-8")
-        report = spectra.format_match_report(result.reports[obs_id],
-                                             result.split_notes)
-        report_path = out / f"{stem}.{obs_id}.report.txt"
-        report_path.write_text(report, encoding="utf-8")
-        lines += [f"wrote {spec_path}", f"wrote {report_path}"]
-    return lines
+        files[f"{stem}.{obs_id}.spec.csv"] = spectra.format_spectrum_csv(spec)
+        files[f"{stem}.{obs_id}.report.txt"] = spectra.format_match_report(
+            result.reports[obs_id], result.split_notes)
+    return files, []
 
 
-def _run_blocks_job(cfg: ScenarioConfig, stem: str, out: Path) -> list[str]:
-    path = out / f"{stem}.blocks.txt"
-    path.write_text(_blocks_text(cfg), encoding="utf-8")
-    return [f"wrote {path}"]
+def _run_blocks_job(cfg: ScenarioConfig, stem: str):
+    return {f"{stem}.blocks.txt": _blocks_text(cfg)}, []
 
 
-def _run_dss_job(cfg: None, stem: str, out: Path) -> list[str]:
+def _run_dss_job(cfg: None, stem: str):
     report, residual, notes = pipeline.dss_additivity_report()
-    path = out / f"{stem}.report.txt"
-    path.write_text(spectra.format_match_report(report, notes), encoding="utf-8")
-    return [f"wrote {path}", notes[-1]]
+    return ({f"{stem}.report.txt": spectra.format_match_report(report, notes)},
+            [notes[-1]])
 
 
 RUNNERS = {"simulate": _run_simulate_job, "spectrum": _run_spectrum_job,
@@ -233,6 +234,18 @@ def _blocks_text(cfg: ScenarioConfig) -> str:
 
 # -- subcommands --------------------------------------------------------------
 
+def _write(out: str, files: dict[str, str], notes: list[str]) -> list[str]:
+    """Make ``out`` and write ``files`` in order; their wrote lines, then notes."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    lines = []
+    for name, text in files.items():
+        path = out / name
+        path.write_text(text, encoding="utf-8")
+        lines.append(f"wrote {path}")
+    return lines + notes
+
+
 def _print(lines: list[str]) -> int:
     for line in lines:
         print(line)
@@ -242,13 +255,12 @@ def _print(lines: list[str]) -> int:
 def cmd_scenario(args) -> int:
     """simulate or spectrum: one validated scenario through its runner."""
     cfg, stem = _scenario_from_args(args)
-    return _print(RUNNERS[args.command](cfg, stem, _outdir(args)))
+    return _print(_write(args.out, *RUNNERS[args.command](cfg, stem)))
 
 
 def cmd_analytic(args) -> int:
     cfg = _chain_from_args(args)
     check_table_levels(cfg.n)
-    out = _outdir(args)
     table = pipeline.predicted_table(cfg, args.order)
     extra = []
     if cfg.model == "xy":
@@ -267,10 +279,8 @@ def cmd_analytic(args) -> int:
                     continue
                 extra.append(f"exact nu_{k1}{l1}/nu_{k2}{l2} splitting: "
                              f"{split:.4f} Hz")
-    path = out / f"{stem}.analytic.txt"
-    path.write_text(analytic.format_transition_table(table, extra),
-                    encoding="utf-8")
-    return _print([f"wrote {path}"])
+    text = analytic.format_transition_table(table, extra)
+    return _print(_write(args.out, {f"{stem}.analytic.txt": text}, []))
 
 
 def cmd_blocks(args) -> int:
@@ -278,15 +288,16 @@ def cmd_blocks(args) -> int:
     # the aliphatic dump also types every coupling of the full engine
     check_dimension(cfg.model, cfg.n, "full")
     stem = f"blocks-{cfg.model}-n{cfg.n}"
-    return _print(_run_blocks_job(cfg, stem, _outdir(args)))
+    return _print(_write(args.out, *_run_blocks_job(cfg, stem)))
 
 
 def cmd_preset(args) -> int:
-    jobs = presets.expand(args.name)
-    out = _outdir(args)
+    def run(job):
+        # each worker writes its own job's files, so no text outlives its job
+        return _write(args.out, *RUNNERS[job.kind](job.config, job.stem))
+
     with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
-        for lines in pool.map(
-                lambda job: RUNNERS[job.kind](job.config, job.stem, out), jobs):
+        for lines in pool.map(run, presets.expand(args.name)):
             _print(lines)
     return 0
 

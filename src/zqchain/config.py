@@ -236,8 +236,8 @@ def _field_line(source_text: str | None, fld: str) -> int | None:
 
 
 def _coerce(raw: dict, path: str | None, text: str | None) -> ScenarioConfig:
-    known = {f for f in ScenarioConfig.__dataclass_fields__}
-    unknown = set(raw) - known - {"initial"}
+    """The scenario of ``raw``; a field it leaves out keeps its dataclass default."""
+    unknown = set(raw) - set(_CONVERT) - {"initial"}
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown field", path,
                           _field_line(text, sorted(unknown)[0]))
@@ -248,32 +248,17 @@ def _coerce(raw: dict, path: str | None, text: str | None) -> ScenarioConfig:
         if not isinstance(initial, dict):
             raise ConfigError("initial", "must be a mapping", path,
                               _field_line(text, "initial"))
-        for key in ("flips", "t0_sites", "signs"):
-            if key in initial:
-                data[key] = initial[key]
         stray = set(initial) - {"flips", "t0_sites", "signs"}
         if stray:
             raise ConfigError("initial", f"unknown keys {sorted(stray)}", path,
                               _field_line(text, "initial"))
+        data.update(initial)
 
     try:
-        cfg = ScenarioConfig(
-            model=str(data.get("model", "xy")),
-            n=int(data.get("n", 4)),
-            couplings=dict(data.get("couplings", {})),
-            flips=tuple(int(s) for s in data.get("flips", ())),
-            t0_sites=tuple(int(s) for s in data.get("t0_sites", ())),
-            signs=tuple(float(s) for s in data.get("signs", ())),
-            observe=_norm_observe(data.get("observe", "all")),
-            dt=float(data.get("dt", DEFAULT_DT)),
-            horizon=float(data.get("horizon", DEFAULT_HORIZON)),
-            tau=float(data.get("tau", DEFAULT_TAU)),
-            zero_pad=int(data.get("zero_pad", DEFAULT_ZERO_PAD)),
-            engine=str(data.get("engine", "restricted")),
-        )
+        return ScenarioConfig(**{k: f(data[k]) for k, f in _CONVERT.items()
+                                 if k in data})
     except (TypeError, ValueError) as exc:
         raise ConfigError("config", f"malformed value: {exc}", path) from exc
-    return cfg
 
 
 def _norm_observe(value) -> tuple:
@@ -285,6 +270,17 @@ def _norm_observe(value) -> tuple:
     for item in value:
         out.append(int(item) if str(item).lstrip("+-").isdigit() else str(item))
     return tuple(out)
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(s) for s in values)
+
+
+# the conversion of every ScenarioConfig field read from a file or the flags
+_CONVERT = {"model": str, "n": int, "couplings": dict, "flips": _ints,
+            "t0_sites": _ints, "signs": lambda v: tuple(float(s) for s in v),
+            "observe": _norm_observe, "dt": float, "horizon": float,
+            "tau": float, "zero_pad": int, "engine": str}
 
 
 def load_config(path: str, overrides: dict | None = None) -> ScenarioConfig:

@@ -352,9 +352,11 @@ def linear_fit_r2(x, y) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
+def format_csv(header: str, x: np.ndarray, y: np.ndarray) -> str:
+    """Two-column CSV: the header line, then one "x,y" row per sample, 12 digits."""
+    rows = map("{:.12g},{:.12g}\n".format, x.tolist(), y.tolist())
+    return header + "\n" + "".join(rows)
+
+
 def format_trajectory_csv(traj: Trajectory) -> str:
-    """Delimiter-separated export: header then one row per sample, 12 digits."""
-    lines = ["t_seconds,value"]
-    for i, v in enumerate(traj.values):
-        lines.append(f"{i * traj.dt:.12g},{v:.12g}")
-    return "\n".join(lines) + "\n"
+    return format_csv("t_seconds,value", traj.times, traj.values)

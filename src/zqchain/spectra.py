@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .analytic import TransitionTable, merge_degenerate
-from .dynamics import Trajectory
+from .dynamics import Trajectory, format_csv
 
 DEFAULT_TAU = 5.0
 DEFAULT_ZERO_PAD = 4
@@ -68,24 +68,10 @@ def remove_dc(traj: Trajectory) -> Trajectory:
                       traj.observable_id)
 
 
-def _padded_length(n_samples: int, zero_pad_factor: int) -> int:
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    if zero_pad_factor < 1:
-        raise ValueError("zero_pad_factor must be >= 1")
-    return n_samples * zero_pad_factor
-
-
 def magnitude_spectrum(traj: Trajectory, zero_pad_factor: int = DEFAULT_ZERO_PAD,
                        tau: float | None = None) -> Spectrum:
     """|DFT| of the zero-padded series on the one-sided grid [0, 1/(2 dt)]."""
-    n_pad = _padded_length(len(traj.values), zero_pad_factor)
-    mag = np.abs(np.fft.rfft(traj.values, n=n_pad))
-    freq = np.fft.rfftfreq(n_pad, d=traj.dt)
-    meta = {"dt": traj.dt, "n_samples": len(traj.values),
-            "zero_pad_factor": zero_pad_factor, "tau": tau,
-            "observable_id": traj.observable_id}
-    return Spectrum(freq, mag, meta)
+    return _one_sided(traj, zero_pad_factor, tau, np.abs)
 
 
 def cosine_transform(traj: Trajectory, zero_pad_factor: int = DEFAULT_ZERO_PAD,
@@ -95,13 +81,24 @@ def cosine_transform(traj: Trajectory, zero_pad_factor: int = DEFAULT_ZERO_PAD,
     For an even-extended series the complex DFT is real, so this equals its
     magnitude; for a sine-phased tone the response at the tone vanishes.
     """
-    n_pad = _padded_length(len(traj.values), zero_pad_factor)
-    mag = np.abs(np.fft.rfft(traj.values, n=n_pad).real)
-    freq = np.fft.rfftfreq(n_pad, d=traj.dt)
-    meta = {"dt": traj.dt, "n_samples": len(traj.values),
-            "zero_pad_factor": zero_pad_factor, "tau": tau,
-            "observable_id": traj.observable_id, "transform": "cosine"}
-    return Spectrum(freq, mag, meta)
+    return _one_sided(traj, zero_pad_factor, tau, lambda dft: np.abs(dft.real),
+                      transform="cosine")
+
+
+def _one_sided(traj: Trajectory, zero_pad_factor: int, tau: float | None,
+               magnitude, **meta) -> Spectrum:
+    """``magnitude`` of the zero-padded rfft, on its frequency grid."""
+    n_samples = len(traj.values)
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples")
+    if zero_pad_factor < 1:
+        raise ValueError("zero_pad_factor must be >= 1")
+    n_pad = n_samples * zero_pad_factor
+    return Spectrum(np.fft.rfftfreq(n_pad, d=traj.dt),
+                    magnitude(np.fft.rfft(traj.values, n=n_pad)),
+                    {"dt": traj.dt, "n_samples": n_samples,
+                     "zero_pad_factor": zero_pad_factor, "tau": tau,
+                     "observable_id": traj.observable_id, **meta})
 
 
 def pick_peaks(spectrum: Spectrum,
@@ -208,10 +205,7 @@ def process_trajectory(traj: Trajectory, tau: float = DEFAULT_TAU,
 
 
 def format_spectrum_csv(spectrum: Spectrum) -> str:
-    lines = ["freq_hz,magnitude"]
-    for f, m in zip(spectrum.freq, spectrum.magnitude):
-        lines.append(f"{f:.12g},{m:.12g}")
-    return "\n".join(lines) + "\n"
+    return format_csv("freq_hz,magnitude", spectrum.freq, spectrum.magnitude)
 
 
 def format_match_report(report: PeakMatchReport,

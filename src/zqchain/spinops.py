@@ -242,21 +242,16 @@ def single_spin_op(axis: str) -> Operator:
     return Operator(_SINGLE[axis], basis_tag("ab", 1))
 
 
-def kron_lift(site_matrix: np.ndarray, site: int, n_sites: int,
-              local_dim: int = 2) -> np.ndarray:
-    """Embed a single-site matrix at ``site`` with identities elsewhere."""
-    if not 1 <= site <= n_sites:
-        raise ValueError(f"site {site} out of range 1..{n_sites}")
-    left = np.eye(local_dim ** (site - 1))
-    right = np.eye(local_dim ** (n_sites - site))
-    return np.kron(np.kron(left, site_matrix), right)
-
-
 def lift(op: Operator, site: int, n_sites: int) -> Operator:
     """Kronecker embedding of a one-spin operator into an n-spin space."""
     if op.dim != 2:
         raise ValueError("lift expects a single-spin (2x2) operator")
-    return Operator(kron_lift(op.entries, site, n_sites), basis_tag("ab", n_sites))
+    if not 1 <= site <= n_sites:
+        raise ValueError(f"site {site} out of range 1..{n_sites}")
+    left = np.eye(2 ** (site - 1))
+    right = np.eye(2 ** (n_sites - site))
+    return Operator(np.kron(np.kron(left, op.entries), right),
+                    basis_tag("ab", n_sites))
 
 
 def total_Iz(n_sites: int) -> Operator:

@@ -1,5 +1,7 @@
 """Config validation and the command-line front end."""
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zqchain import analytic, cli, pipeline, presets
+from zqchain import analytic, cli, config, pipeline, presets
 from zqchain.cli import main
 from zqchain.config import (
     MAX_FFT_POINTS,
@@ -524,3 +526,56 @@ def test_python_m_zqchain_runs_from_a_source_checkout(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "fig6a.S0S0S0T0.report.txt").is_file()
     assert "wrote" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--model", "aliphatic", "--n", "4", "--order", "2"],
+    ["spectrum", "--model", "aliphatic", "--n", "3", "--t0-sites", "1",
+     "--signs", "1", "--horizon", "1"]])
+def test_a_command_that_fails_while_computing_makes_no_directory(tmp_path,
+                                                                 capsys, argv):
+    out = tmp_path / "zz" / "sub"
+    assert main([*argv, "--j-gem", "0", "--j-gauche", "7.5", "--j-anti", "2.5",
+                 "--out", str(out)]) == 2
+    assert "j_gem must be nonzero" in capsys.readouterr().err
+    assert not (tmp_path / "zz").exists()
+
+
+@pytest.mark.parametrize("signs", [["--signs", "-1,1"], ["--signs=-1,1"],
+                                   ["--signs", "-,+"], ["--signs=-,+"]])
+def test_a_sign_list_may_start_with_a_dash(tmp_path, monkeypatch, signs):
+    seen = []
+    monkeypatch.setitem(cli.RUNNERS, "simulate",
+                        lambda cfg, stem: seen.append(cfg) or ({}, []))
+    assert main(["simulate", "--model", "aliphatic", "--n", "3",
+                 *ALIPHATIC_FLAGS, "--t0-sites", "1,2", *signs,
+                 "--out", str(tmp_path)]) == 0
+    assert seen == [validate(ScenarioConfig(
+        model="aliphatic", n=3, couplings={"J_gem": -14.0, "J_gauche": 7.5,
+                                           "J_anti": 2.5},
+        t0_sites=(1, 2), signs=(-1.0, 1.0)))]
+
+
+def test_coerce_leaves_absent_fields_to_the_dataclass(tmp_path):
+    assert config._coerce({}, None, None) == ScenarioConfig()
+    assert set(config._CONVERT) == {
+        f.name for f in dataclasses.fields(ScenarioConfig)}
+    cfg = load_config(write(tmp_path, "chain.yaml", """\
+model: aliphatic
+n: 3
+couplings: {J_gem: -14.0, J_gauche: 7.5, J_anti: 2.5}
+initial: {t0_sites: [2], signs: [-1]}
+"""))
+    assert cfg == ScenarioConfig(
+        model="aliphatic", n=3, couplings={"J_gem": -14.0, "J_gauche": 7.5,
+                                           "J_anti": 2.5},
+        t0_sites=(2,), signs=(-1.0,))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("initial: 3\n", "initial: must be a mapping"),
+    ("initial: {flips: [1], spin: 2}\n", "initial: unknown keys ['spin']"),
+    ("n: three\n", "config: malformed value: invalid literal for int()")])
+def test_coerce_errors_name_the_field(tmp_path, text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(write(tmp_path, "bad.yaml", text))

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from zqchain.analytic import transition_table, xy_predicted_spectrum
-from zqchain.dynamics import InitialPattern, Trajectory, initial_xy, observe_series
+from zqchain.dynamics import (InitialPattern, Trajectory, format_trajectory_csv,
+                              initial_xy, observe_series)
 from zqchain.hamiltonians import XYParams, build_xy
 from zqchain.spectra import (
     Peak,
+    Spectrum,
     apodize,
     cosine_transform,
     format_match_report,
@@ -227,3 +229,23 @@ def test_spectrum_csv_and_report_formatting():
     assert "matched" in rendered
     assert "extra note" in rendered
     assert f"{report.tol_hz:.4f}" in rendered
+
+
+def _per_row_csv(header, x, y):
+    return "\n".join([header, *(f"{a:.12g},{b:.12g}" for a, b in zip(x, y))]) + "\n"
+
+
+def test_csv_formatter_equals_the_per_row_format():
+    rng = np.random.default_rng(11)
+    special = [-0.0, 5e-324, 1e300, 0.1 + 0.2, 3.0, -42.0, 1e16, 0.5]
+    values = np.concatenate([special, rng.normal(size=64)
+                             * 10.0 ** rng.integers(-12, 12, size=64)])
+    traj = Trajectory(DT, values, "site1")
+    times = [i * DT for i in range(len(values))]
+    assert format_trajectory_csv(traj) == _per_row_csv("t_seconds,value",
+                                                       times, traj.values)
+    spec = Spectrum(values, np.abs(values), {})
+    assert format_spectrum_csv(spec) == _per_row_csv(
+        "freq_hz,magnitude", spec.freq, spec.magnitude)
+    assert format_trajectory_csv(Trajectory(DT, np.array([]), "e")) == (
+        "t_seconds,value\n")
