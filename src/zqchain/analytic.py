@@ -73,13 +73,26 @@ class TransitionTable:
         return merge_degenerate((t[2] for t in self.transitions), tol)
 
 
+def coincident_groups(values, tol: float = DEGENERACY_TOL_HZ) -> list[list[int]]:
+    """Indices of ``values`` grouped into coincident lines (the one such rule).
+
+    Taken in ascending order, a value within tol of its group's first
+    (smallest) value joins that group; any other starts the next group.
+    """
+    vals = [float(v) for v in values]
+    groups: list[list[int]] = []
+    for i in sorted(range(len(vals)), key=vals.__getitem__):
+        if groups and vals[i] - vals[groups[-1][0]] <= tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
+
+
 def merge_degenerate(freqs, tol: float = DEGENERACY_TOL_HZ) -> list[float]:
-    """Sorted |frequencies|; one within tol of the last kept is merged into it."""
-    out: list[float] = []
-    for nu in sorted(abs(float(f)) for f in freqs):
-        if not out or abs(nu - out[-1]) > tol:
-            out.append(nu)
-    return out
+    """Sorted |frequencies|, one per coincident group (its smallest)."""
+    vals = [abs(float(f)) for f in freqs]
+    return [vals[group[0]] for group in coincident_groups(vals, tol)]
 
 
 def transition_table(energies) -> TransitionTable:
@@ -132,6 +145,26 @@ def aliphatic_predicted_spectrum(params: AliphaticParams,
                         compute_uv=False)
     levels = -n * j_gem / 4 - np.sign(j_gem) * (lam.sum() / 2 - lam)
     return transition_table(np.sort(levels)[::-1])
+
+
+def split_notes(params: AliphaticParams, t2: TransitionTable) -> list[str]:
+    """pt2 estimate, then which order-0-coincident lines ``t2`` (order 2) splits."""
+    estimate = pt2_splitting_estimate(params.delta_j, params.j_gem)
+    t0 = aliphatic_predicted_spectrum(params, 0).transitions
+    nu2 = {(k, l): nu for k, l, nu in t2.transitions}
+    notes = [f"pt2 splitting estimate (1/4 dJ^2/J_gem): {estimate:.4f} Hz"]
+    for group in coincident_groups(nu for _, _, nu in t0):
+        members = [t0[i][:2] for i in sorted(group)]
+        nu0 = t0[min(group)][2]
+        vals = [nu2[kl] for kl in members]
+        names = "/".join(f"nu_{k}{l}" for k, l in members)
+        if max(vals) - min(vals) > DEGENERACY_TOL_HZ:
+            notes.append(f"{names}: split by {max(vals) - min(vals):.4f} Hz "
+                         f"({', '.join(f'{v:.4f}' for v in sorted(vals))})")
+        else:
+            notes.append(f"{names}: single line at {vals[0]:.4f} Hz "
+                         f"(order-0 {nu0:.4f}, shift {vals[0] - nu0:+.4f})")
+    return notes
 
 
 def format_transition_table(table: TransitionTable,

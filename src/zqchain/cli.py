@@ -41,15 +41,16 @@ def main(argv=None) -> int:
 
 
 def _join_signs(argv) -> list[str]:
-    """Spell ``--signs LIST`` as ``--signs=LIST``.
+    """Spell ``--signs LIST`` as ``--signs=LIST``, for every prefix of it.
 
     A sign list such as ``-1,1`` or ``-,+`` starts with a dash, so argparse
-    would read it as an option rather than as the value of ``--signs``.
+    would read it as an option rather than as the value of ``--signs`` or
+    of an abbreviation of it such as ``--sign``.
     """
     out = []
     for arg in argv:
-        if out and out[-1] == "--signs":
-            out[-1] = f"--signs={arg}"
+        if out and len(out[-1]) > 2 and "--signs".startswith(out[-1]):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
@@ -136,9 +137,9 @@ def _scenario_from_args(args) -> tuple[ScenarioConfig, str]:
         "tau": args.tau,
         "zero_pad": args.zero_pad,
         "engine": args.engine,
-        "flips": _split_ints(args.flips),
-        "t0_sites": _split_ints(args.t0_sites),
-        "signs": _split_signs(args.signs),
+        "flips": _split_list(args.flips),
+        "t0_sites": _split_list(args.t0_sites),
+        "signs": _split_list(args.signs),
     }
     if args.config:
         return load_config(args.config, overrides), Path(args.config).stem
@@ -156,19 +157,6 @@ def _split_list(text):
     if text is None:
         return None
     return [s.strip() for s in text.split(",") if s.strip()]
-
-
-def _split_ints(text):
-    if text is None:
-        return None
-    return [int(s) for s in _split_list(text)]
-
-
-def _split_signs(text):
-    if text is None:
-        return None
-    return [{"+": 1.0, "-": -1.0}.get(s, None) or float(s)
-            for s in _split_list(text)]
 
 
 # -- job runners: (config, stem) -> ({file name: text}, other stdout lines) --
@@ -262,24 +250,14 @@ def cmd_analytic(args) -> int:
     cfg = _chain_from_args(args)
     check_table_levels(cfg.n)
     table = pipeline.predicted_table(cfg, args.order)
-    extra = []
+    notes = []
     if cfg.model == "xy":
         stem = f"analytic-xy-n{cfg.n}"
     else:
         stem = f"analytic-aliphatic-n{cfg.n}-order{args.order}"
         if args.order == 2:
-            params = cfg.aliphatic_params()
-            estimate = analytic.pt2_splitting_estimate(params.delta_j, params.j_gem)
-            extra.append(f"pt2 splitting estimate: {estimate:.4f} Hz")
-            for (k1, l1), (k2, l2) in (((1, 2), (cfg.n - 1, cfg.n)),
-                                       ((1, 3), (2, 4))):
-                try:
-                    split = abs(table.frequency(k1, l1) - table.frequency(k2, l2))
-                except KeyError:
-                    continue
-                extra.append(f"exact nu_{k1}{l1}/nu_{k2}{l2} splitting: "
-                             f"{split:.4f} Hz")
-    text = analytic.format_transition_table(table, extra)
+            notes = analytic.split_notes(cfg.aliphatic_params(), table)
+    text = analytic.format_transition_table(table, notes)
     return _print(_write(args.out, {f"{stem}.analytic.txt": text}, []))
 
 

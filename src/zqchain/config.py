@@ -96,23 +96,30 @@ def validate(cfg: ScenarioConfig, path: str | None = None,
     def fail(fld, msg):
         raise ConfigError(fld, msg, path, _field_line(source_text, fld))
 
-    check_chain(cfg, path, source_text)
-    if cfg.model == "xy":
-        check_dimension(cfg.model, cfg.n, cfg.engine, path, source_text)
-        for s in cfg.flips:
+    def check_sites(fld, sites):
+        for i, s in enumerate(sites):
             if not 1 <= s <= cfg.n:
-                fail("flips", f"site {s} outside 1..{cfg.n}")
+                fail(fld, f"site {s} outside 1..{cfg.n}")
+            if s in sites[:i]:
+                fail(fld, f"site {s} listed twice")
+
+    check_chain(cfg, path, source_text)
+    if cfg.engine not in ("restricted", "full"):
+        fail("engine", f"must be 'restricted' or 'full', got {cfg.engine!r}")
+    if cfg.model == "xy":
+        if cfg.engine != "restricted":
+            fail("engine", f"the xy model has one engine, got {cfg.engine!r}")
+        check_dimension(cfg.model, cfg.n, cfg.engine, path, source_text)
+        check_sites("flips", cfg.flips)
         if cfg.t0_sites:
             fail("t0_sites", "only meaningful for the aliphatic model")
+        if cfg.signs:
+            fail("signs", "only meaningful for the aliphatic model")
     else:
-        if cfg.engine not in ("restricted", "full"):
-            fail("engine", f"must be 'restricted' or 'full', got {cfg.engine!r}")
         check_dimension(cfg.model, cfg.n, cfg.engine, path, source_text)
         if not cfg.t0_sites:
             fail("t0_sites", "aliphatic model needs at least one T0 site")
-        for s in cfg.t0_sites:
-            if not 1 <= s <= cfg.n:
-                fail("t0_sites", f"site {s} outside 1..{cfg.n}")
+        check_sites("t0_sites", cfg.t0_sites)
         if len(cfg.signs) != len(cfg.t0_sites):
             fail("signs", f"{len(cfg.t0_sites)} t0_sites need "
                           f"{len(cfg.t0_sites)} signs, got {len(cfg.signs)}")
@@ -272,15 +279,28 @@ def _norm_observe(value) -> tuple:
     return tuple(out)
 
 
+def _int(value) -> int:
+    """An integer, from an integral number or a decimal string; 4.7 is refused."""
+    if isinstance(value, bool) or not (isinstance(value, (int, str))
+                                       or float(value).is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _ints(values) -> tuple[int, ...]:
-    return tuple(int(s) for s in values)
+    return tuple(_int(s) for s in values)
 
 
-# the conversion of every ScenarioConfig field read from a file or the flags
-_CONVERT = {"model": str, "n": int, "couplings": dict, "flips": _ints,
-            "t0_sites": _ints, "signs": lambda v: tuple(float(s) for s in v),
-            "observe": _norm_observe, "dt": float, "horizon": float,
-            "tau": float, "zero_pad": int, "engine": str}
+def _signs(values) -> tuple[float, ...]:
+    return tuple(float({"+": 1.0, "-": -1.0}.get(s, s)) for s in values)
+
+
+# the one conversion of every ScenarioConfig field, read from a file or
+# from the flags (which pass their comma lists here as strings)
+_CONVERT = {"model": str, "n": _int, "couplings": dict, "flips": _ints,
+            "t0_sites": _ints, "signs": _signs, "observe": _norm_observe,
+            "dt": float, "horizon": float, "tau": float, "zero_pad": _int,
+            "engine": str}
 
 
 def load_config(path: str, overrides: dict | None = None) -> ScenarioConfig:

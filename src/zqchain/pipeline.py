@@ -46,7 +46,9 @@ def build_initial(cfg: ScenarioConfig) -> Operator | ProjectorSum:
     pattern = cfg.initial_pattern()
     if cfg.model == "xy":
         return dynamics.initial_xy(pattern)
-    return dynamics.initial_aliphatic(pattern, cfg.signs,
+    # each sign goes with its listed site; the pattern takes them by site
+    signs = [sign for _, sign in sorted(zip(cfg.t0_sites, cfg.signs))]
+    return dynamics.initial_aliphatic(pattern, signs,
                                       full_space=(cfg.engine == "full"))
 
 
@@ -96,65 +98,29 @@ def run_simulate(cfg: ScenarioConfig) -> SimulationResult:
     return SimulationResult(cfg, trajectories, conserved)
 
 
-def run_spectrum(cfg: ScenarioConfig,
-                 rel_threshold: float = spectra.DEFAULT_PEAK_THRESHOLD,
-                 match_tol_hz: float | None = None) -> SpectrumResult:
+def run_spectrum(cfg: ScenarioConfig) -> SpectrumResult:
     """Simulate, process each trajectory to a spectrum, match analytic lines.
 
-    The match tolerance defaults to one padded grid bin. For the aliphatic
-    model the report also states which degenerate line pairs of the
-    zeroth-order table are split by type-II mixing. The tables need no
-    matrix and come first, so J_gem = 0 fails before anything is simulated.
+    Peaks are picked at spectra.DEFAULT_PEAK_THRESHOLD and matched within
+    one padded grid bin. For the aliphatic model the report also states
+    which coincident lines of the zeroth-order table type-II mixing splits
+    (analytic.split_notes). The tables need no matrix and come first, so
+    J_gem = 0 fails before anything is simulated.
     """
     table = predicted_table(cfg)
-    split_notes = _split_notes(cfg, table)
+    split_notes = (analytic.split_notes(cfg.aliphatic_params(), table)
+                   if cfg.model == "aliphatic" else [])
     sim = run_simulate(cfg)
 
     spectra_out = {}
     reports = {}
     for obs_id, traj in sim.trajectories.items():
         spec = spectra.process_trajectory(traj, cfg.tau, cfg.zero_pad)
-        tol = match_tol_hz if match_tol_hz is not None else spec.grid_hz
-        peaks = spectra.pick_peaks(spec, rel_threshold)
-        reports[obs_id] = spectra.match_peaks(peaks, table, tol)
+        peaks = spectra.pick_peaks(spec)
+        reports[obs_id] = spectra.match_peaks(peaks, table, spec.grid_hz)
         spectra_out[obs_id] = spec
     return SpectrumResult(cfg, sim.trajectories, spectra_out, reports, table,
                           split_notes)
-
-
-def _split_notes(cfg: ScenarioConfig,
-                 t2: analytic.TransitionTable) -> list[str]:
-    """Describe which zeroth-order-degenerate transitions split at order 2.
-
-    ``t2`` is the scenario's order-2 table, as built by predicted_table.
-    """
-    if cfg.model != "aliphatic":
-        return []
-    params = cfg.aliphatic_params()
-    t0 = predicted_table(cfg, order=0)
-    estimate = analytic.pt2_splitting_estimate(params.delta_j, params.j_gem)
-
-    groups: dict[float, list[tuple[int, int]]] = {}
-    for k, l, nu in t0.transitions:
-        for nu0 in groups:
-            if abs(nu - nu0) <= analytic.DEGENERACY_TOL_HZ:
-                groups[nu0].append((k, l))
-                break
-        else:
-            groups[nu] = [(k, l)]
-
-    notes = [f"pt2 splitting estimate (1/4 dJ^2/J_gem): {estimate:.4f} Hz"]
-    for nu0, members in sorted(groups.items()):
-        vals = [t2.frequency(k, l) for k, l in members]
-        names = "/".join(f"nu_{k}{l}" for k, l in members)
-        if len(vals) >= 2 and max(vals) - min(vals) > analytic.DEGENERACY_TOL_HZ:
-            notes.append(f"{names}: split by {max(vals) - min(vals):.4f} Hz "
-                         f"({', '.join(f'{v:.4f}' for v in sorted(vals))})")
-        else:
-            shift = vals[0] - nu0
-            notes.append(f"{names}: single line at {vals[0]:.4f} Hz "
-                         f"(order-0 {nu0:.4f}, shift {shift:+.4f})")
-    return notes
 
 
 def dss_additivity_report(peaks_hz=(3.70, 4.67, 8.37),

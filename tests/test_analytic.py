@@ -15,6 +15,8 @@ from zqchain.analytic import (
     transition_table,
     xy_predicted_spectrum,
 )
+from zqchain.cli import main
+from zqchain.config import ScenarioConfig, validate
 from zqchain.hamiltonians import AliphaticParams, build_aliphatic_restricted
 from zqchain.spinops import site_bits
 
@@ -267,3 +269,56 @@ def test_zero_j_gem_spectrum_fails_before_simulating(monkeypatch):
         "J_gem": 0.0, "J_gauche": 7.5, "J_anti": 2.5})
     with pytest.raises(ValueError, match="j_gem must be nonzero"):
         pipeline.run_spectrum(cfg)
+
+
+def _merge_loop(freqs, tol):
+    """The merge loop merge_degenerate ran before coincident_groups."""
+    out = []
+    for nu in sorted(abs(float(f)) for f in freqs):
+        if not out or abs(nu - out[-1]) > tol:
+            out.append(nu)
+    return out
+
+
+def test_merge_degenerate_keeps_the_merge_loop_rule():
+    tol = analytic.DEGENERACY_TOL_HZ
+    assert analytic.merge_degenerate([1.0, 1.0 + 0.999 * tol]) == [1.0]
+    assert len(analytic.merge_degenerate([1.0, 1.0 + 1.001 * tol])) == 2
+    # a group is measured from its first value, not from its last member
+    assert analytic.merge_degenerate([0.0, 0.6 * tol, 1.2 * tol]) == [0.0,
+                                                                       1.2 * tol]
+    rng = np.random.default_rng(12)
+    steps = np.array([0.0, 0.4, 0.999, 1.001, 3.0]) * tol
+    for _ in range(300):
+        freqs = []
+        for centre in rng.uniform(-10.0, 10.0, rng.integers(1, 8)):
+            cluster = centre + np.cumsum(rng.choice(steps, rng.integers(1, 5)))
+            freqs.extend(cluster * rng.choice([-1.0, 1.0]))
+        rng.shuffle(freqs)
+        assert analytic.merge_degenerate(freqs, tol) == _merge_loop(freqs, tol)
+
+
+def _analytic_notes(tmp_path, n):
+    """The ``# notes`` lines of ``zqchain analytic --order 2`` for chain n."""
+    assert main(["analytic", "--model", "aliphatic", "--n", str(n),
+                 "--j-gem", "-14", "--j-gauche", "7.5", "--j-anti", "2.5",
+                 "--order", "2", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / f"analytic-aliphatic-n{n}-order2.analytic.txt").read_text()
+    return [line[2:] for line in text.split("# notes\n")[1].splitlines()]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_analytic_notes_are_the_spectrum_report_notes(tmp_path, n):
+    cfg = validate(ScenarioConfig(
+        model="aliphatic", n=n,
+        couplings={"J_gem": -14.0, "J_gauche": 7.5, "J_anti": 2.5},
+        t0_sites=(1,), signs=(1.0,), observe=(1,), horizon=0.5))
+    assert _analytic_notes(tmp_path, n) == pipeline.run_spectrum(cfg).split_notes
+
+
+def test_analytic_notes_name_the_coincident_pairs(tmp_path):
+    text = "\n".join(_analytic_notes(tmp_path, 5))
+    for pair in ("nu_12/nu_45", "nu_13/nu_35", "nu_23/nu_34", "nu_14/nu_25"):
+        assert f"{pair}: split by" in text
+    assert "nu_13/nu_24" not in text
+    assert "nu_12/nu_12" not in "\n".join(_analytic_notes(tmp_path, 2))

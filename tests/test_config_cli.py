@@ -542,7 +542,8 @@ def test_a_command_that_fails_while_computing_makes_no_directory(tmp_path,
 
 
 @pytest.mark.parametrize("signs", [["--signs", "-1,1"], ["--signs=-1,1"],
-                                   ["--signs", "-,+"], ["--signs=-,+"]])
+                                   ["--signs", "-,+"], ["--signs=-,+"],
+                                   ["--sign", "-1,1"], ["--s", "-,+"]])
 def test_a_sign_list_may_start_with_a_dash(tmp_path, monkeypatch, signs):
     seen = []
     monkeypatch.setitem(cli.RUNNERS, "simulate",
@@ -579,3 +580,58 @@ initial: {t0_sites: [2], signs: [-1]}
 def test_coerce_errors_name_the_field(tmp_path, text, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(write(tmp_path, "bad.yaml", text))
+
+
+@pytest.mark.parametrize("old, new", [("n: 4\n", "n: 4.7\n"),
+                                      ("flips: [1]", "flips: [1.9]"),
+                                      ("observe: [1]\n",
+                                       "observe: [1]\nzero_pad: 2.5\n")])
+def test_an_integer_field_refuses_a_fraction(tmp_path, old, new):
+    with pytest.raises(ConfigError,
+                       match=re.escape("config: malformed value: ")):
+        load_config(write(tmp_path, "bad.yaml", FIG6C_YAML.replace(old, new)))
+
+
+def test_an_integer_flag_refuses_a_fraction(tmp_path, capsys):
+    assert main(["simulate", "--model", "xy", "--n", "4", "--j", "5",
+                 "--flips", "1.5", "--out", str(tmp_path)]) == 2
+    assert "config: malformed value: " in capsys.readouterr().err
+
+
+def test_integral_numbers_and_sign_symbols_convert():
+    cfg = config._coerce({"n": 4.0, "zero_pad": "2", "t0_sites": ["1", 2.0],
+                          "signs": ["+", "-"]}, None, None)
+    assert (cfg.n, cfg.zero_pad, cfg.t0_sites, cfg.signs) == (
+        4, 2, (1, 2), (1.0, -1.0))
+
+
+ALIPHATIC_N3 = {"model": "aliphatic", "n": 3,
+                "couplings": {"J_gem": -14.0, "J_gauche": 7.5, "J_anti": 2.5}}
+
+
+@pytest.mark.parametrize("fields, field, message", [
+    ({**XY_J5, "signs": (-1.0,)}, "signs", "only meaningful for the aliphatic"),
+    ({**XY_J5, "engine": "full"}, "engine", "the xy model has one engine"),
+    ({**XY_J5, "engine": "fast"}, "engine", "must be 'restricted' or 'full'"),
+    ({**ALIPHATIC_N3, "t0_sites": (1,), "signs": (1.0,), "engine": "fast"},
+     "engine", "must be 'restricted' or 'full'"),
+    ({**XY_J5, "flips": (2, 2)}, "flips", "site 2 listed twice"),
+    ({**ALIPHATIC_N3, "t0_sites": (1, 1), "signs": (1.0, -1.0)}, "t0_sites",
+     "site 1 listed twice")])
+def test_validate_refuses_inputs_the_model_would_ignore(fields, field, message):
+    with pytest.raises(ConfigError) as err:
+        validate(ScenarioConfig(**fields))
+    assert err.value.field == field
+    assert message in str(err.value)
+
+
+def test_each_sign_goes_to_the_site_it_is_listed_with():
+    def run(t0_sites, signs):
+        cfg = validate(ScenarioConfig(**ALIPHATIC_N3, t0_sites=t0_sites,
+                                      signs=signs, horizon=0.5))
+        return pipeline.run_simulate(cfg).trajectories
+
+    listed, ascending = run((3, 1), (-1.0, 1.0)), run((1, 3), (1.0, -1.0))
+    assert listed.keys() == ascending.keys()
+    for obs_id, traj in listed.items():
+        assert np.array_equal(traj.values, ascending[obs_id].values)
