@@ -76,17 +76,18 @@ class TransitionTable:
 def coincident_groups(values, tol: float = DEGENERACY_TOL_HZ) -> list[list[int]]:
     """Indices of ``values`` grouped into coincident lines (the one such rule).
 
-    Taken in ascending order, a value within tol of its group's first
-    (smallest) value joins that group; any other starts the next group.
+    Taken in ascending order (a stable sort), a value within tol of its
+    group's first (smallest) value joins that group; any other starts the
+    next group.
     """
-    vals = [float(v) for v in values]
-    groups: list[list[int]] = []
-    for i in sorted(range(len(vals)), key=vals.__getitem__):
-        if groups and vals[i] - vals[groups[-1][0]] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
+    vals = np.asarray(values, dtype=float)
+    order = np.argsort(vals, kind="stable").tolist()
+    ascending = vals[order].tolist()
+    starts = [0] if order else []
+    for i, v in enumerate(ascending):
+        if v - ascending[starts[-1]] > tol:
+            starts.append(i)
+    return [order[a:b] for a, b in zip(starts, starts[1:] + [len(order)])]
 
 
 def merge_degenerate(freqs, tol: float = DEGENERACY_TOL_HZ) -> list[float]:
@@ -148,22 +149,29 @@ def aliphatic_predicted_spectrum(params: AliphaticParams,
 
 
 def split_notes(params: AliphaticParams, t2: TransitionTable) -> list[str]:
-    """pt2 estimate, then which order-0-coincident lines ``t2`` (order 2) splits."""
+    """pt2 estimate, then which order-0-coincident lines ``t2`` (order 2) splits.
+
+    Transitions nu_kl (k < l) of both orders are taken in the tables' row
+    order, as differences of their level arrays.
+    """
     estimate = pt2_splitting_estimate(params.delta_j, params.j_gem)
-    t0 = aliphatic_predicted_spectrum(params, 0).transitions
-    nu2 = {(k, l): nu for k, l, nu in t2.transitions}
+    k, l = np.triu_indices(params.n, 1)
+    e0 = toeplitz_eigenvalues(ToeplitzSpec(0.0, params.delta_j / 2, params.n))
+    e2 = np.array([e for _, e in t2.energies])
+    nu0, nu2 = (e0[k] - e0[l]).tolist(), (e2[k] - e2[l]).tolist()
+    names = [f"nu_{a}{b}" for a, b in zip((k + 1).tolist(), (l + 1).tolist())]
     notes = [f"pt2 splitting estimate (1/4 dJ^2/J_gem): {estimate:.4f} Hz"]
-    for group in coincident_groups(nu for _, _, nu in t0):
-        members = [t0[i][:2] for i in sorted(group)]
-        nu0 = t0[min(group)][2]
-        vals = [nu2[kl] for kl in members]
-        names = "/".join(f"nu_{k}{l}" for k, l in members)
+    for group in coincident_groups(nu0):
+        members = sorted(group)
+        vals = [nu2[i] for i in members]
+        label = "/".join(names[i] for i in members)
         if max(vals) - min(vals) > DEGENERACY_TOL_HZ:
-            notes.append(f"{names}: split by {max(vals) - min(vals):.4f} Hz "
+            notes.append(f"{label}: split by {max(vals) - min(vals):.4f} Hz "
                          f"({', '.join(f'{v:.4f}' for v in sorted(vals))})")
         else:
-            notes.append(f"{names}: single line at {vals[0]:.4f} Hz "
-                         f"(order-0 {nu0:.4f}, shift {vals[0] - nu0:+.4f})")
+            nu = nu0[members[0]]
+            notes.append(f"{label}: single line at {vals[0]:.4f} Hz "
+                         f"(order-0 {nu:.4f}, shift {vals[0] - nu:+.4f})")
     return notes
 
 

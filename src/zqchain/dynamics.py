@@ -3,9 +3,12 @@
 Propagation solves the Liouville-von Neumann equation exactly through one
 Hermitian eigendecomposition of the Hamiltonian, reused for every time
 sample: rho(t) = exp(-i 2 pi H t) rho(0) exp(+i 2 pi H t) with H in Hz.
-A real Hamiltonian is decomposed in real arithmetic. Projector states and
-populations are kept as weights and vectors (spinops.ProjectorSum), so a
-sample costs dim * terms between two of them and dim^2 otherwise.
+A real Hamiltonian is decomposed in real arithmetic. H is block diagonal
+over the sectors it conserves, and the blocks are read from its own zero
+pattern, so a series works block by block and skips the blocks on which
+an operand vanishes. Projector states and populations are kept as weights
+and vectors (spinops.ProjectorSum), so a sample costs d_k * terms per
+block between two of them and d_k^2 per block otherwise.
 
 Every series a Propagator samples on one time grid (dt, steps) reads one
 table of cos and sin of the phase angles 2 pi E_j t, computed on the
@@ -166,6 +169,17 @@ def phase_plan(steps: int, dim: int) -> tuple[int, int]:
 class Propagator:
     """One eigendecomposition of H (in Hz), shared across all time samples.
 
+    The blocks of H are the connected components of its exactly-nonzero
+    pattern, so they are the sectors H conserves (total I_z for XY,
+    excitation parity for the restricted chain, every pair's m_p for the
+    full one) without being told them. H is permuted so that each block is
+    one run of rows and decomposed by one eigh of the whole matrix. The
+    Householder reduction maps exact zeros to exact zeros, so every mode
+    lies in one block; that is checked exactly, and a mode reaching outside
+    its block raises. ``modes`` are in H's row order with their columns
+    grouped by block, blocks in the order of their first row
+    (``block_sizes``).
+
     A real symmetric H is decomposed in real arithmetic, so its modes are
     real; a complex Hermitian H (one with an I_y term) takes the same code.
     The phase table of the last time grid and the eigenbasis form of the
@@ -177,13 +191,39 @@ class Propagator:
     def __init__(self, hamiltonian: Operator):
         self.basis_tag = hamiltonian.basis_tag
         self.dim = hamiltonian.dim
+        h = hamiltonian.entries
+        label = _components(h != 0)
+        order = np.argsort(label, kind="stable")  # each block one run of rows
         try:
-            self.energies, self.modes = np.linalg.eigh(hamiltonian.entries)
+            energies, modes = np.linalg.eigh(h[np.ix_(order, order)])
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise ValueError("eigendecomposition failed; Hamiltonian is "
                              "likely not Hermitian") from exc
+        starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+        sizes = np.diff(starts, append=self.dim)
+        block = np.repeat(np.arange(len(sizes)), sizes)  # of each permuted row
+        support = modes != 0
+        first = block[np.argmax(support, axis=0)]
+        last = block[self.dim - 1 - np.argmax(support[::-1], axis=0)]
+        if (np.any(first != last)
+                or np.any(np.bincount(first, minlength=len(sizes)) != sizes)):
+            raise ValueError("an eigenvector of H reaches outside its block "
+                             "of H's nonzero pattern")
+        by_block = np.argsort(first, kind="stable")
+        self.energies = energies[by_block]
+        self.modes = modes[np.ix_(np.argsort(order), by_block)]
+        self._block_of = np.empty(self.dim, dtype=int)  # of each row of H
+        self._block_of[order] = block
+        # per block: its rows of H, and its modes (one run of columns)
+        self._blocks = tuple((order[a:a + s], np.arange(a, a + s))
+                             for a, s in zip(starts.tolist(), sizes.tolist()))
         self._phases = (None, ())  # grid (dt, steps), its kept (cos, sin) blocks
         self._rho0 = (None, None)  # last rho0 (immutable) and V^H rho0 V
+
+    @property
+    def block_sizes(self) -> tuple[int, ...]:
+        """States per block of H, blocks in the order of their first row."""
+        return tuple(len(rows) for rows, _ in self._blocks)
 
     def evolve(self, rho0: Operator | ProjectorSum, t: float) -> Operator:
         """rho(t) for a single time; exact unitary evolution."""
@@ -199,15 +239,21 @@ class Propagator:
                steps: int, observable_id: str = "obs") -> Trajectory:
         """Sampled Tr(O rho(t)) at t = 0, dt, ..., steps*dt.
 
-        Works in the eigenbasis, from the phase angles theta_j = 2 pi E_j t.
+        Works in the eigenbasis, from the phase angles theta_j = 2 pi E_j t,
+        one group of blocks of H at a time. A group is one block, or the
+        blocks an operand has entries between (I_x on XY joins them all);
+        a group on which either operand is exactly zero adds nothing and is
+        skipped, so the sum is exact for any operands.
+
         When both operands are ProjectorSums, rho0 = sum_m w_m |a_m><a_m|
         and O = sum_l u_l |b_l><b_l|, the signal is a sum of transition
         probabilities, sum_lm u_l w_m |sum_j conj(B_jl) e^(-i theta_j) A_jm|^2
-        with A = V^H a and B = V^H b: dim * terms per sample. Otherwise it is
-        the bilinear form p^T (rho_e o O_e^T) conj(p), p = e^(-i theta):
-        dim^2 per sample, after a basis change of dim^3 for a dense operand
-        and dim^2 * terms for a ProjectorSum. Its imaginary part, which
-        vanishes for Hermitian operands, is guarded.
+        with A = V^H a and B = V^H b: d_k * terms per sample and group.
+        Otherwise it is the bilinear form p^T (rho_e o O_e^T) conj(p),
+        p = e^(-i theta): d_k^2 per sample and group, after a basis change
+        of d_k^3 for a dense operand and d_k^2 * terms for a ProjectorSum.
+        Its imaginary part, which vanishes for Hermitian operands, is
+        guarded.
 
         Both forms read cos and sin of theta in row blocks of SERIES_BLOCK
         numbers. The blocks of one (dt, steps) grid are computed once and
@@ -254,28 +300,51 @@ class Propagator:
             self._phases = grid, blocks + tuple(fresh)
 
     def _amplitude_form(self, rho0: ProjectorSum, observable: ProjectorSum):
-        a = self.modes.conj().T @ rho0.vectors
-        b = self.modes.conj().T @ observable.vectors
-        # column (l, m) holds conj(B_jl) A_jm, weighted by u_l w_m
-        pairs = (b.conj()[:, :, None] * a[:, None, :]).reshape(self.dim, -1)
+        parts = []
+        for rows, cols in self._groups(rho0, observable):
+            v = self.modes[np.ix_(rows, cols)]
+            a = v.conj().T @ rho0.vectors[rows]
+            b = v.conj().T @ observable.vectors[rows]
+            # column (l, m) holds conj(B_jl) A_jm, weighted by u_l w_m
+            pairs = b.conj()[:, :, None] * a[:, None, :]
+            parts.append((_run(cols), pairs.reshape(len(cols), -1)))
         weights = np.outer(observable.weights, rho0.weights).ravel()
 
         def form(cos, sin):
-            amplitudes = cos @ pairs - 1j * (sin @ pairs)
+            amplitudes = np.zeros((len(cos), len(weights)), dtype=complex)
+            for cols, pairs in parts:
+                amplitudes += cos[:, cols] @ pairs - 1j * (sin[:, cols] @ pairs)
             return np.abs(amplitudes) ** 2 @ weights
         return form
 
     def _bilinear_form(self, rho0, observable):
-        bilinear = (self._rho0_in_eigenbasis(rho0)
-                    * self._in_eigenbasis(observable).T)
+        rho0_e = self._rho0_in_eigenbasis(rho0)
+        terms = [(_run(cols), rho0_e[np.ix_(cols, cols)]
+                  * self._in_eigenbasis(observable, rows, cols).T)
+                 for rows, cols in self._groups(rho0, observable)]
+        dtype = np.result_type(rho0_e, *(b for _, b in terms))
+        idle = np.ones(self.dim, dtype=bool)
+        for cols, _ in terms:
+            idle[cols] = False
+        idle = np.flatnonzero(idle)  # modes of no group: B is zero there
+
+        def products(phase, out):
+            for cols, b in terms:
+                if isinstance(cols, slice):
+                    np.matmul(phase[:, cols], b, out=out[:, cols])
+                else:
+                    out[:, cols] = phase[:, cols] @ b
 
         def form(cos, sin):
-            # p^T B conj(p) with p = cos - i sin; cos @ B and then sin @ B
-            # share one buffer, so a block holds one rows x dim product
-            prod = cos @ bilinear
+            # p^T B conj(p) with p = cos - i sin; cos @ B and then sin @ B,
+            # group by group, share one buffer that is zero off the groups,
+            # so a block holds one rows x dim product
+            prod = np.empty(cos.shape, dtype)
+            prod[:, idle] = 0
+            products(cos, prod)
             xc = np.einsum("tk,tk->t", prod, cos)
             xs = np.einsum("tk,tk->t", prod, sin)
-            np.matmul(sin, bilinear, out=prod)
+            products(sin, prod)
             sig = (xc + np.einsum("tk,tk->t", prod, sin)
                    + 1j * (xs - np.einsum("tk,tk->t", prod, cos)))
             residue = float(np.max(np.abs(sig.imag)))
@@ -286,27 +355,85 @@ class Propagator:
             return sig.real
         return form
 
+    def _groups(self, *ops):
+        """(rows of H, modes) of each group of blocks joined by the operands'
+        entries between blocks, leaving out groups where an operand is zero."""
+        couplings = [self._coupling(op) for op in ops]
+        label = _components(np.logical_or.reduce(couplings))
+        for root in np.flatnonzero(label == np.arange(len(label))):
+            members = np.flatnonzero(label == root)
+            if all(c[members].any() for c in couplings):
+                yield (np.concatenate([self._blocks[k][0] for k in members]),
+                       np.concatenate([self._blocks[k][1] for k in members]))
+
+    def _coupling(self, op: Operator | ProjectorSum) -> np.ndarray:
+        """(blocks, blocks) booleans: op has a nonzero entry between the two."""
+        nblocks = len(self._blocks)
+        if isinstance(op, ProjectorSum):
+            rows, terms = np.nonzero(op.vectors)
+            touches = np.zeros((op.vectors.shape[1], nblocks), dtype=bool)
+            touches[terms, self._block_of[rows]] = True
+            return touches.T @ touches
+        rows, cols = np.nonzero(op.entries)
+        coupling = np.zeros((nblocks, nblocks), dtype=bool)
+        coupling[self._block_of[rows], self._block_of[cols]] = True
+        return coupling
+
     def _rho0_in_eigenbasis(self, rho0: Operator | ProjectorSum) -> np.ndarray:
-        """V^H rho0 V, kept for the last rho0 (operators are write-protected)."""
+        """V^H rho0 V, kept for the last rho0 (operators are write-protected).
+
+        Computed per group of blocks; the entries between groups are zero.
+        """
         kept, rho0_e = self._rho0
         if rho0 is not kept:
-            rho0_e = self._in_eigenbasis(rho0)
+            parts = [(cols, self._in_eigenbasis(rho0, rows, cols))
+                     for rows, cols in self._groups(rho0)]
+            rho0_e = np.zeros((self.dim, self.dim),
+                              np.result_type(self.modes, *(p for _, p in parts)))
+            for cols, part in parts:
+                rho0_e[np.ix_(cols, cols)] = part
             rho0_e.setflags(write=False)
             self._rho0 = rho0, rho0_e
         return rho0_e
 
-    def _in_eigenbasis(self, op: Operator | ProjectorSum) -> np.ndarray:
-        """V^H O V."""
-        v = self.modes
+    def _in_eigenbasis(self, op: Operator | ProjectorSum, rows: np.ndarray,
+                       cols: np.ndarray) -> np.ndarray:
+        """V^H O V on one group: its rows of H and its modes."""
+        v = self.modes[np.ix_(rows, cols)]
         if isinstance(op, ProjectorSum):
-            a = v.conj().T @ op.vectors
+            a = v.conj().T @ op.vectors[rows]
             return (a * op.weights) @ a.conj().T
-        return v.conj().T @ op.entries @ v
+        return v.conj().T @ op.entries[np.ix_(rows, rows)] @ v
 
     def _check(self, op: Operator | ProjectorSum):
         if op.basis_tag != self.basis_tag or op.dim != self.dim:
             raise ValueError(f"operator basis {op.basis_tag} (dim {op.dim}) "
                              f"does not match propagator {self.basis_tag}")
+
+
+def _components(pattern: np.ndarray) -> np.ndarray:
+    """Connected-component label of each index of a square nonzero pattern.
+
+    Row and column indices are the nodes of one undirected graph with an
+    edge per nonzero entry; an index's label is the smallest index of its
+    component, found by label propagation with pointer jumping.
+    """
+    i, j = np.nonzero(pattern | pattern.T)
+    label = np.arange(len(pattern))
+    while True:
+        low = label.copy()
+        np.minimum.at(low, i, label[j])
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
+def _run(cols: np.ndarray) -> slice | np.ndarray:
+    """cols as a slice (a view of the phase table) when it is one run."""
+    if cols[-1] - cols[0] + 1 == len(cols):
+        return slice(int(cols[0]), int(cols[-1]) + 1)
+    return cols
 
 
 def propagate(hamiltonian: Operator, rho0: Operator | ProjectorSum,
