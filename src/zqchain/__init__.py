@@ -24,7 +24,6 @@ from .dynamics import (
     initial_xy,
     observe_series,
     population_op,
-    propagate,
     wavefront_arrival,
 )
 from .hamiltonians import (

@@ -176,9 +176,9 @@ class Propagator:
     one run of rows and decomposed by one eigh of the whole matrix. The
     Householder reduction maps exact zeros to exact zeros, so every mode
     lies in one block; that is checked exactly, and a mode reaching outside
-    its block raises. ``modes`` are in H's row order with their columns
-    grouped by block, blocks in the order of their first row
-    (``block_sizes``).
+    its block raises. ``modes`` are in the permuted row order with their
+    columns grouped by block, so block k is one slice of rows and modes;
+    blocks come in the order of their first row of H (``block_sizes``).
 
     A real symmetric H is decomposed in real arithmetic, so its modes are
     real; a complex Hermitian H (one with an I_y term) takes the same code.
@@ -211,11 +211,11 @@ class Propagator:
                              "of H's nonzero pattern")
         by_block = np.argsort(first, kind="stable")
         self.energies = energies[by_block]
-        self.modes = modes[np.ix_(np.argsort(order), by_block)]
-        self._block_of = np.empty(self.dim, dtype=int)  # of each row of H
-        self._block_of[order] = block
-        # per block: its rows of H, and its modes (one run of columns)
-        self._blocks = tuple((order[a:a + s], np.arange(a, a + s))
+        self.modes = modes[:, by_block]
+        self._order = order  # H's row of each row of modes
+        self._starts = starts
+        # per block: its rows of H, and its slice of rows and columns of modes
+        self._blocks = tuple((order[a:a + s], slice(a, a + s))
                              for a, s in zip(starts.tolist(), sizes.tolist()))
         self._phases = (None, ())  # grid (dt, steps), its kept (cos, sin) blocks
         self._rho0 = (None, None)  # last rho0 (immutable) and V^H rho0 V
@@ -229,7 +229,8 @@ class Propagator:
         """rho(t) for a single time; exact unitary evolution."""
         self._check(rho0)
         phases = np.exp(-2j * np.pi * self.energies * t)
-        u = self.modes * phases  # V diag(phases)
+        u = np.empty((self.dim, self.dim), dtype=complex)
+        u[self._order] = self.modes * phases  # V diag(phases), in H's rows
         rho_t = u @ self._rho0_in_eigenbasis(rho0) @ u.conj().T
         rho_t = 0.5 * (rho_t + rho_t.conj().T)  # strip roundoff skew
         return hermitian_operator(rho_t, rho0.basis_tag)
@@ -240,17 +241,17 @@ class Propagator:
         """Sampled Tr(O rho(t)) at t = 0, dt, ..., steps*dt.
 
         Works in the eigenbasis, from the phase angles theta_j = 2 pi E_j t,
-        one group of blocks of H at a time. A group is one block, or the
-        blocks an operand has entries between (I_x on XY joins them all);
-        a group on which either operand is exactly zero adds nothing and is
-        skipped, so the sum is exact for any operands.
+        one block of H at a time, skipping the blocks on which either
+        operand is exactly zero. An operand with an entry between two blocks
+        (I_x on XY, or a projector term that spans blocks) makes the whole
+        space one slice, so the sum is exact for any operands.
 
         When both operands are ProjectorSums, rho0 = sum_m w_m |a_m><a_m|
         and O = sum_l u_l |b_l><b_l|, the signal is a sum of transition
         probabilities, sum_lm u_l w_m |sum_j conj(B_jl) e^(-i theta_j) A_jm|^2
-        with A = V^H a and B = V^H b: d_k * terms per sample and group.
+        with A = V^H a and B = V^H b: d_k * terms per sample and block.
         Otherwise it is the bilinear form p^T (rho_e o O_e^T) conj(p),
-        p = e^(-i theta): d_k^2 per sample and group, after a basis change
+        p = e^(-i theta): d_k^2 per sample and block, after a basis change
         of d_k^3 for a dense operand and d_k^2 * terms for a ProjectorSum.
         Its imaginary part, which vanishes for Hermitian operands, is
         guarded.
@@ -301,44 +302,40 @@ class Propagator:
 
     def _amplitude_form(self, rho0: ProjectorSum, observable: ProjectorSum):
         parts = []
-        for rows, cols in self._groups(rho0, observable):
-            v = self.modes[np.ix_(rows, cols)]
+        for rows, modes in self._slices(rho0, observable):
+            v = self._modes_of(modes)
             a = v.conj().T @ rho0.vectors[rows]
             b = v.conj().T @ observable.vectors[rows]
             # column (l, m) holds conj(B_jl) A_jm, weighted by u_l w_m
             pairs = b.conj()[:, :, None] * a[:, None, :]
-            parts.append((_run(cols), pairs.reshape(len(cols), -1)))
+            parts.append((modes, pairs.reshape(len(a), -1)))
         weights = np.outer(observable.weights, rho0.weights).ravel()
 
         def form(cos, sin):
             amplitudes = np.zeros((len(cos), len(weights)), dtype=complex)
-            for cols, pairs in parts:
-                amplitudes += cos[:, cols] @ pairs - 1j * (sin[:, cols] @ pairs)
+            for modes, pairs in parts:
+                amplitudes += cos[:, modes] @ pairs - 1j * (sin[:, modes] @ pairs)
             return np.abs(amplitudes) ** 2 @ weights
         return form
 
     def _bilinear_form(self, rho0, observable):
         rho0_e = self._rho0_in_eigenbasis(rho0)
-        terms = [(_run(cols), rho0_e[np.ix_(cols, cols)]
-                  * self._in_eigenbasis(observable, rows, cols).T)
-                 for rows, cols in self._groups(rho0, observable)]
+        terms = [(modes, rho0_e[modes, modes]
+                  * self._in_eigenbasis(observable, rows, modes).T)
+                 for rows, modes in self._slices(rho0, observable)]
         dtype = np.result_type(rho0_e, *(b for _, b in terms))
-        idle = np.ones(self.dim, dtype=bool)
-        for cols, _ in terms:
-            idle[cols] = False
-        idle = np.flatnonzero(idle)  # modes of no group: B is zero there
+        idle = np.ones(self.dim, dtype=bool)  # modes of no term: B is zero
+        for modes, _ in terms:
+            idle[modes] = False
 
         def products(phase, out):
-            for cols, b in terms:
-                if isinstance(cols, slice):
-                    np.matmul(phase[:, cols], b, out=out[:, cols])
-                else:
-                    out[:, cols] = phase[:, cols] @ b
+            for modes, b in terms:
+                np.matmul(phase[:, modes], b, out=out[:, modes])
 
         def form(cos, sin):
             # p^T B conj(p) with p = cos - i sin; cos @ B and then sin @ B,
-            # group by group, share one buffer that is zero off the groups,
-            # so a block holds one rows x dim product
+            # block by block, share one buffer that is zero off the blocks,
+            # so a row block holds one rows x dim product
             prod = np.empty(cos.shape, dtype)
             prod[:, idle] = 0
             products(cos, prod)
@@ -355,55 +352,58 @@ class Propagator:
             return sig.real
         return form
 
-    def _groups(self, *ops):
-        """(rows of H, modes) of each group of blocks joined by the operands'
-        entries between blocks, leaving out groups where an operand is zero."""
-        couplings = [self._coupling(op) for op in ops]
-        label = _components(np.logical_or.reduce(couplings))
-        for root in np.flatnonzero(label == np.arange(len(label))):
-            members = np.flatnonzero(label == root)
-            if all(c[members].any() for c in couplings):
-                yield (np.concatenate([self._blocks[k][0] for k in members]),
-                       np.concatenate([self._blocks[k][1] for k in members]))
-
-    def _coupling(self, op: Operator | ProjectorSum) -> np.ndarray:
-        """(blocks, blocks) booleans: op has a nonzero entry between the two."""
-        nblocks = len(self._blocks)
-        if isinstance(op, ProjectorSum):
-            rows, terms = np.nonzero(op.vectors)
-            touches = np.zeros((op.vectors.shape[1], nblocks), dtype=bool)
-            touches[terms, self._block_of[rows]] = True
-            return touches.T @ touches
-        rows, cols = np.nonzero(op.entries)
-        coupling = np.zeros((nblocks, nblocks), dtype=bool)
-        coupling[self._block_of[rows], self._block_of[cols]] = True
-        return coupling
+    def _slices(self, *ops):
+        """(rows of H, slice of modes) of each block on which no operand is
+        zero; the whole space, once, if an operand has an entry between two
+        blocks."""
+        whole = [(self._order, slice(None))]
+        summed = np.ones(len(self._blocks), dtype=bool)
+        for op in ops:
+            if isinstance(op, ProjectorSum):
+                # per block and term: the term has a nonzero row in the block
+                hits = np.logical_or.reduceat(op.vectors[self._order] != 0,
+                                              self._starts)
+                if np.any(np.count_nonzero(hits, axis=0) > 1):
+                    return whole
+                summed &= hits.any(axis=1)
+                continue
+            inside = np.array([np.count_nonzero(op.entries[np.ix_(rows, rows)])
+                               for rows, _ in self._blocks])
+            if inside.sum() != np.count_nonzero(op.entries):
+                return whole
+            summed &= inside > 0
+        return [self._blocks[k] for k in np.flatnonzero(summed)]
 
     def _rho0_in_eigenbasis(self, rho0: Operator | ProjectorSum) -> np.ndarray:
         """V^H rho0 V, kept for the last rho0 (operators are write-protected).
 
-        Computed per group of blocks; the entries between groups are zero.
+        Computed per block, with zeros between blocks, or over the whole
+        space when rho0 has an entry between two blocks.
         """
         kept, rho0_e = self._rho0
         if rho0 is not kept:
-            parts = [(cols, self._in_eigenbasis(rho0, rows, cols))
-                     for rows, cols in self._groups(rho0)]
+            parts = [(modes, self._in_eigenbasis(rho0, rows, modes))
+                     for rows, modes in self._slices(rho0)]
             rho0_e = np.zeros((self.dim, self.dim),
                               np.result_type(self.modes, *(p for _, p in parts)))
-            for cols, part in parts:
-                rho0_e[np.ix_(cols, cols)] = part
+            for modes, part in parts:
+                rho0_e[modes, modes] = part
             rho0_e.setflags(write=False)
             self._rho0 = rho0, rho0_e
         return rho0_e
 
     def _in_eigenbasis(self, op: Operator | ProjectorSum, rows: np.ndarray,
-                       cols: np.ndarray) -> np.ndarray:
-        """V^H O V on one group: its rows of H and its modes."""
-        v = self.modes[np.ix_(rows, cols)]
+                       modes: slice) -> np.ndarray:
+        """V^H O V on one slice: its rows of H and its modes."""
+        v = self._modes_of(modes)
         if isinstance(op, ProjectorSum):
             a = v.conj().T @ op.vectors[rows]
             return (a * op.weights) @ a.conj().T
         return v.conj().T @ op.entries[np.ix_(rows, rows)] @ v
+
+    def _modes_of(self, modes: slice) -> np.ndarray:
+        # one contiguous copy: BLAS on a strided view can round differently
+        return np.ascontiguousarray(self.modes[modes, modes])
 
     def _check(self, op: Operator | ProjectorSum):
         if op.basis_tag != self.basis_tag or op.dim != self.dim:
@@ -427,18 +427,6 @@ def _components(pattern: np.ndarray) -> np.ndarray:
         if np.array_equal(low, label):
             return label
         label = low
-
-
-def _run(cols: np.ndarray) -> slice | np.ndarray:
-    """cols as a slice (a view of the phase table) when it is one run."""
-    if cols[-1] - cols[0] + 1 == len(cols):
-        return slice(int(cols[0]), int(cols[-1]) + 1)
-    return cols
-
-
-def propagate(hamiltonian: Operator, rho0: Operator | ProjectorSum,
-              t: float) -> Operator:
-    return Propagator(hamiltonian).evolve(rho0, t)
 
 
 def observe_series(hamiltonian: Operator, rho0: Operator | ProjectorSum,

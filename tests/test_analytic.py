@@ -322,3 +322,25 @@ def test_analytic_notes_name_the_coincident_pairs(tmp_path):
         assert f"{pair}: split by" in text
     assert "nu_13/nu_24" not in text
     assert "nu_12/nu_12" not in "\n".join(_analytic_notes(tmp_path, 2))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_all_equal_signs_peak_at_a_quasiparticle_pair_line(sign):
+    # With every sign equal, rho0 is the projector onto every single-T0
+    # state: it commutes with the geminal and hopping parts of H, so every
+    # line comes from type-II mixing. The largest is a pair line
+    # Lambda_k + Lambda_l, which the order-2 table (Lambda_k - Lambda_l)
+    # does not list.
+    cfg = validate(ScenarioConfig(
+        model="aliphatic", n=4, couplings=dict(presets.ALIPHATIC_COUPLINGS),
+        t0_sites=(1, 2, 3, 4), signs=(sign,) * 4, observe=("S0S0S0T0",)))
+    result = pipeline.run_spectrum(cfg)
+    top = max(result.reports["S0S0S0T0"].peaks, key=lambda p: p.magnitude)
+    params = cfg.aliphatic_params()
+    lam = np.linalg.svd(params.j_gem * np.eye(4) + params.delta_j * np.eye(4, k=1),
+                        compute_uv=False)
+    k, l = np.triu_indices(4, 1)
+    order2 = np.abs([nu for _, _, nu in result.predicted.transitions])
+    assert np.min(np.abs(lam[k] + lam[l] - top.freq)) <= 1 / cfg.horizon
+    assert np.min(np.abs(order2 - top.freq)) > 10.0
+    assert top.freq == pytest.approx(28.9668, abs=1e-4)

@@ -498,7 +498,16 @@ def test_cli_preset_fig1_output_count(tmp_path, capsys):
     files = sorted(tmp_path.glob("fig1.site*.traj.csv"))
     assert len(files) == 8
     out = capsys.readouterr().out
-    assert "conserved <total_Iz>" in out
+    # drift is stated against one tolerance, so these lines hold no roundoff
+    assert out.splitlines()[-2:] == ["conserved <total_Iz>: drift <= 1e-12",
+                                     "conserved <H>: drift <= 1e-12"]
+
+
+def test_conserved_note_prints_the_drift_only_above_the_tolerance():
+    assert cli.conserved_note("<H>", 1e-12) == "conserved <H>: drift <= 1e-12"
+    assert (cli.conserved_note("<H>", 2.5e-12)
+            == "conserved <H>: drift 2.500e-12 > 1e-12")
+    assert cli.conserved_note("<H>", float("nan")).endswith("drift nan > 1e-12")
 
 
 def test_cli_deterministic_outputs(tmp_path):

@@ -25,7 +25,6 @@ from zqchain.dynamics import (
     observe_series,
     phase_plan,
     population_op,
-    propagate,
     wavefront_arrival,
 )
 from zqchain.hamiltonians import (
@@ -132,7 +131,7 @@ def test_population_expectation_on_inverted_term():
 def test_propagate_t0_identity():
     h = build_xy(XYParams(3, 5.0))
     rho0 = initial_xy(InitialPattern(3, frozenset({1})))
-    rho_t = propagate(h, rho0, 0.0)
+    rho_t = Propagator(h).evolve(rho0, 0.0)
     assert np.max(np.abs(rho_t.entries - rho0.entries)) < 1e-14
 
 
@@ -140,7 +139,7 @@ def test_propagate_preserves_trace_and_spectrum():
     h = build_xy(XYParams(3, 5.0))
     rho0 = initial_xy(InitialPattern(3, frozenset({1})))
     for t in (0.1, 1.7, 12.0):
-        rho_t = propagate(h, rho0, t)
+        rho_t = Propagator(h).evolve(rho0, t)
         assert np.trace(rho_t.entries).real == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(np.linalg.eigvalsh(rho_t.entries)
                              - np.linalg.eigvalsh(rho0.entries))) < 1e-10

@@ -24,7 +24,9 @@ from zqchain.spinops import (
     Operator,
     ProjectorSum,
     expectation,
+    label_index,
     lift,
+    parse_label,
     single_spin_op,
     site_bits,
     total_Iz,
@@ -166,7 +168,7 @@ def test_operands_with_entries_between_blocks_match_evolve():
     prop = Propagator(h)
     ix2 = lift(single_spin_op("x"), 2, n)
     # |aa><bb| + |bb><aa| joins the first and last blocks of n = 2 only,
-    # so their modes are not one run of columns
+    # so the series is summed over the whole space
     dq = np.zeros((4, 4))
     dq[0, 3] = dq[3, 0] = 1.0
     cases = [
@@ -182,6 +184,50 @@ def test_operands_with_entries_between_blocks_match_evolve():
         assert np.max(np.abs(traj.values - expected)) < TOL
     # the I_x signal is not trivially zero
     assert np.max(np.abs(prop.series(_total("x", n), ix2, 0.01, 60).values)) > 0.1
+
+
+def _ket(text):
+    vec = np.zeros(2 ** len(text))
+    vec[label_index(parse_label(text, "ab"))] = 1.0
+    return vec
+
+
+def _coherence(bra, ket):
+    """|bra><ket| + |ket><bra| on the XY space."""
+    a, b = _ket(bra), _ket(ket)
+    return np.outer(a, b) + np.outer(b, a)
+
+
+def test_a_projector_term_spanning_blocks_matches_the_dense_oracle():
+    n = 4
+    h = build_xy(XYParams(n, 5.0))
+    prop = Propagator(h)
+    tag = f"ab:{n}"
+    # one term spans the first and last blocks, one sits in the one-flip block
+    ghz = (_ket("aaaa") + _ket("bbbb")) / np.sqrt(2)
+    rho0 = ProjectorSum([1.0, -1.0], np.stack([ghz, _ket("baaa")], axis=1), tag)
+    population = ProjectorSum([1.0, 1.0],
+                              np.stack([_ket("aaaa"), _ket("abaa")], axis=1), tag)
+    # only an operand with entries between the same blocks reads the GHZ
+    # coherence, so the third observable needs it in rho0's eigenbasis form
+    joined = Operator(iz(2, n).entries + _coherence("aaaa", "bbbb"), tag)
+    for obs in (population, iz(2, n), joined):  # amplitude, bilinear forms
+        values = prop.series(rho0, obs, DT, STEPS).values
+        assert np.max(np.abs(values - dense_series(h, rho0, obs, DT, STEPS))) < TOL
+        assert np.ptp(values) > 0.1
+
+
+def test_a_dense_operand_joining_two_of_several_blocks_matches_the_dense_oracle():
+    n = 4
+    h = build_xy(XYParams(n, 5.0))
+    prop = Propagator(h)
+    # coherences between the one-flip and three-flip blocks only
+    rho0 = Operator(initial_xy(InitialPattern(n, frozenset({1}))).entries
+                    + _coherence("baaa", "bbba"), f"ab:{n}")
+    for obs in (Operator(_coherence("abaa", "abbb"), f"ab:{n}"), iz(3, n)):
+        values = prop.series(rho0, obs, DT, STEPS).values
+        assert np.max(np.abs(values - dense_series(h, rho0, obs, DT, STEPS))) < TOL
+        assert np.ptp(values) > 0.1
 
 
 def test_block_sizes_are_the_conserved_sectors():
