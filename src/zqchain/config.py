@@ -20,7 +20,7 @@ from .spinops import ProductLabel, parse_label
 
 # hard dimension guards: exponential growth must be an explicit decision
 MAX_FULL_DIM = 4096        # alpha/beta spaces (xy chains, full engine)
-MAX_RESTRICTED_DIM = 16384  # {T0,S0} fictitious-spin spaces
+MAX_RESTRICTED_DIM = 8192  # {T0,S0} spaces; memory-bound (README, Size guards)
 # time steps per trajectory (horizon/dt); the default run takes 4000
 MAX_STEPS = 1_000_000
 # levels per analytic transition table, which lists n(n-1)/2 transitions
@@ -219,7 +219,7 @@ def check_dimension(model: str, n: int, engine: str,
     else:
         too_big = 2 ** n > MAX_RESTRICTED_DIM
         msg = (f"2^{n} exceeds the {MAX_RESTRICTED_DIM}-dim restricted-engine "
-               f"limit (n <= 14)")
+               f"limit (n <= 13)")
     if too_big:
         raise ConfigError("n", msg, path, _field_line(source_text, "n"))
 

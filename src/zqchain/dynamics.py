@@ -3,12 +3,13 @@
 Propagation solves the Liouville-von Neumann equation exactly through one
 Hermitian eigendecomposition of the Hamiltonian, reused for every time
 sample: rho(t) = exp(-i 2 pi H t) rho(0) exp(+i 2 pi H t) with H in Hz.
-A real Hamiltonian is decomposed in real arithmetic. H is block diagonal
-over the sectors it conserves, and the blocks are read from its own zero
-pattern, so a series works block by block and skips the blocks on which
-an operand vanishes. Projector states and populations are kept as weights
-and vectors (spinops.ProjectorSum), so a sample costs d_k * terms per
-block between two of them and d_k^2 per block otherwise.
+A Propagator follows one rho(0), fixed when it is built. A real Hamiltonian
+is decomposed in real arithmetic. H is block diagonal over the sectors it
+conserves, and the blocks are read from its own zero pattern, so a series
+works block by block and skips the blocks on which an operand vanishes.
+Projector states and populations are kept as weights and vectors
+(spinops.ProjectorSum), so a sample costs d_k * terms per block between
+two of them and d_k^2 per block otherwise.
 
 Every series a Propagator samples on one time grid (dt, steps) reads one
 table of cos and sin of the phase angles 2 pi E_j t, computed on the
@@ -167,7 +168,7 @@ def phase_plan(steps: int, dim: int) -> tuple[int, int]:
 
 
 class Propagator:
-    """One eigendecomposition of H (in Hz), shared across all time samples.
+    """One eigendecomposition of H (in Hz), and one initial state rho0.
 
     The blocks of H are the connected components of its exactly-nonzero
     pattern, so they are the sectors H conserves (total I_z for XY,
@@ -180,17 +181,20 @@ class Propagator:
     columns grouped by block, so block k is one slice of rows and modes;
     blocks come in the order of their first row of H (``block_sizes``).
 
+    rho0 is fixed at construction: its basis, the blocks it touches (or
+    that it joins two) and V^H rho0 V are found once, for every call.
+
     A real symmetric H is decomposed in real arithmetic, so its modes are
     real; a complex Hermitian H (one with an I_y term) takes the same code.
-    The phase table of the last time grid and the eigenbasis form of the
-    last rho0 are kept on the instance for the calls that follow. Each is one
-    tuple, read once per call and replaced whole, so one Propagator may be
-    sampled from several threads.
+    The phase table of the last time grid is kept on the instance for the
+    calls that follow. It is one tuple, read once per call and replaced
+    whole, so one Propagator may be sampled from several threads.
     """
 
-    def __init__(self, hamiltonian: Operator):
+    def __init__(self, hamiltonian: Operator, rho0: Operator | ProjectorSum):
         self.basis_tag = hamiltonian.basis_tag
         self.dim = hamiltonian.dim
+        self._check(rho0)
         h = hamiltonian.entries
         label = _components(h != 0)
         order = np.argsort(label, kind="stable")  # each block one run of rows
@@ -218,25 +222,33 @@ class Propagator:
         self._blocks = tuple((order[a:a + s], slice(a, a + s))
                              for a, s in zip(starts.tolist(), sizes.tolist()))
         self._phases = (None, ())  # grid (dt, steps), its kept (cos, sin) blocks
-        self._rho0 = (None, None)  # last rho0 (immutable) and V^H rho0 V
+        self.rho0 = rho0
+        self._rho0_blocks = self._blocks_of(rho0)
+        # V^H rho0 V on the slices rho0 shares with itself, zero elsewhere
+        parts = [(cols, self._in_eigenbasis(rho0, rows, cols))
+                 for rows, cols in self._slices(rho0)]
+        rho0_e = np.zeros((self.dim, self.dim),
+                          np.result_type(self.modes, *(p for _, p in parts)))
+        for cols, part in parts:
+            rho0_e[cols, cols] = part
+        rho0_e.setflags(write=False)
+        self._rho0_e = rho0_e
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
         """States per block of H, blocks in the order of their first row."""
         return tuple(len(rows) for rows, _ in self._blocks)
 
-    def evolve(self, rho0: Operator | ProjectorSum, t: float) -> Operator:
+    def evolve(self, t: float) -> Operator:
         """rho(t) for a single time; exact unitary evolution."""
-        self._check(rho0)
         phases = np.exp(-2j * np.pi * self.energies * t)
         u = np.empty((self.dim, self.dim), dtype=complex)
         u[self._order] = self.modes * phases  # V diag(phases), in H's rows
-        rho_t = u @ self._rho0_in_eigenbasis(rho0) @ u.conj().T
+        rho_t = u @ self._rho0_e @ u.conj().T
         rho_t = 0.5 * (rho_t + rho_t.conj().T)  # strip roundoff skew
-        return hermitian_operator(rho_t, rho0.basis_tag)
+        return hermitian_operator(rho_t, self.basis_tag)
 
-    def series(self, rho0: Operator | ProjectorSum,
-               observable: Operator | ProjectorSum, dt: float,
+    def series(self, observable: Operator | ProjectorSum, dt: float,
                steps: int, observable_id: str = "obs") -> Trajectory:
         """Sampled Tr(O rho(t)) at t = 0, dt, ..., steps*dt.
 
@@ -262,14 +274,14 @@ class Propagator:
         later calls on that grid reuse them and recompute only the rest. A
         new grid drops the kept blocks.
         """
-        self._check(rho0)
         self._check(observable)
         if dt <= 0 or steps < 0:
             raise ValueError("need dt > 0 and steps >= 0")
-        if isinstance(rho0, ProjectorSum) and isinstance(observable, ProjectorSum):
-            form = self._amplitude_form(rho0, observable)
+        if isinstance(self.rho0, ProjectorSum) and isinstance(observable,
+                                                              ProjectorSum):
+            form = self._amplitude_form(observable)
         else:
-            form = self._bilinear_form(rho0, observable)
+            form = self._bilinear_form(observable)
 
         out = np.empty(steps + 1)
         for start, cos, sin in self._phase_blocks(dt, steps):
@@ -300,16 +312,16 @@ class Propagator:
         if fresh:
             self._phases = grid, blocks + tuple(fresh)
 
-    def _amplitude_form(self, rho0: ProjectorSum, observable: ProjectorSum):
+    def _amplitude_form(self, observable: ProjectorSum):
         parts = []
-        for rows, modes in self._slices(rho0, observable):
+        for rows, modes in self._slices(observable):
             v = self._modes_of(modes)
-            a = v.conj().T @ rho0.vectors[rows]
+            a = v.conj().T @ self.rho0.vectors[rows]
             b = v.conj().T @ observable.vectors[rows]
             # column (l, m) holds conj(B_jl) A_jm, weighted by u_l w_m
             pairs = b.conj()[:, :, None] * a[:, None, :]
             parts.append((modes, pairs.reshape(len(a), -1)))
-        weights = np.outer(observable.weights, rho0.weights).ravel()
+        weights = np.outer(observable.weights, self.rho0.weights).ravel()
 
         def form(cos, sin):
             amplitudes = np.zeros((len(cos), len(weights)), dtype=complex)
@@ -318,12 +330,11 @@ class Propagator:
             return np.abs(amplitudes) ** 2 @ weights
         return form
 
-    def _bilinear_form(self, rho0, observable):
-        rho0_e = self._rho0_in_eigenbasis(rho0)
-        terms = [(modes, rho0_e[modes, modes]
+    def _bilinear_form(self, observable):
+        terms = [(modes, self._rho0_e[modes, modes]
                   * self._in_eigenbasis(observable, rows, modes).T)
-                 for rows, modes in self._slices(rho0, observable)]
-        dtype = np.result_type(rho0_e, *(b for _, b in terms))
+                 for rows, modes in self._slices(observable)]
+        dtype = np.result_type(self._rho0_e, *(b for _, b in terms))
         idle = np.ones(self.dim, dtype=bool)  # modes of no term: B is zero
         for modes, _ in terms:
             idle[modes] = False
@@ -352,45 +363,31 @@ class Propagator:
             return sig.real
         return form
 
-    def _slices(self, *ops):
-        """(rows of H, slice of modes) of each block on which no operand is
-        zero; the whole space, once, if an operand has an entry between two
-        blocks."""
-        whole = [(self._order, slice(None))]
-        summed = np.ones(len(self._blocks), dtype=bool)
-        for op in ops:
-            if isinstance(op, ProjectorSum):
-                # per block and term: the term has a nonzero row in the block
-                hits = np.logical_or.reduceat(op.vectors[self._order] != 0,
-                                              self._starts)
-                if np.any(np.count_nonzero(hits, axis=0) > 1):
-                    return whole
-                summed &= hits.any(axis=1)
-                continue
-            inside = np.array([np.count_nonzero(op.entries[np.ix_(rows, rows)])
-                               for rows, _ in self._blocks])
-            if inside.sum() != np.count_nonzero(op.entries):
-                return whole
-            summed &= inside > 0
-        return [self._blocks[k] for k in np.flatnonzero(summed)]
+    def _slices(self, observable: Operator | ProjectorSum):
+        """(rows of H, slice of modes) of each block on which neither rho0 nor
+        the observable is zero; the whole space, once, if either has an entry
+        between two blocks."""
+        touched = self._rho0_blocks
+        seen = None if touched is None else self._blocks_of(observable)
+        if seen is None:
+            return [(self._order, slice(None))]
+        return [self._blocks[k] for k in np.flatnonzero(touched & seen)]
 
-    def _rho0_in_eigenbasis(self, rho0: Operator | ProjectorSum) -> np.ndarray:
-        """V^H rho0 V, kept for the last rho0 (operators are write-protected).
-
-        Computed per block, with zeros between blocks, or over the whole
-        space when rho0 has an entry between two blocks.
-        """
-        kept, rho0_e = self._rho0
-        if rho0 is not kept:
-            parts = [(modes, self._in_eigenbasis(rho0, rows, modes))
-                     for rows, modes in self._slices(rho0)]
-            rho0_e = np.zeros((self.dim, self.dim),
-                              np.result_type(self.modes, *(p for _, p in parts)))
-            for modes, part in parts:
-                rho0_e[modes, modes] = part
-            rho0_e.setflags(write=False)
-            self._rho0 = rho0, rho0_e
-        return rho0_e
+    def _blocks_of(self, op: Operator | ProjectorSum) -> np.ndarray | None:
+        """Per block, whether op is nonzero on it; None if op has an entry
+        between two blocks."""
+        if isinstance(op, ProjectorSum):
+            # per block and term: the term has a nonzero row in the block
+            hits = np.logical_or.reduceat(op.vectors[self._order] != 0,
+                                          self._starts)
+            if np.any(np.count_nonzero(hits, axis=0) > 1):
+                return None
+            return hits.any(axis=1)
+        inside = np.array([np.count_nonzero(op.entries[np.ix_(rows, rows)])
+                           for rows, _ in self._blocks])
+        if inside.sum() != np.count_nonzero(op.entries):
+            return None
+        return inside > 0
 
     def _in_eigenbasis(self, op: Operator | ProjectorSum, rows: np.ndarray,
                        modes: slice) -> np.ndarray:
@@ -435,8 +432,8 @@ def observe_series(hamiltonian: Operator, rho0: Operator | ProjectorSum,
                    observable_id: str = "obs") -> Trajectory:
     if steps is None:
         steps = int(round(DEFAULT_HORIZON / dt))
-    return Propagator(hamiltonian).series(rho0, observable, dt, steps,
-                                          observable_id)
+    return Propagator(hamiltonian, rho0).series(observable, dt, steps,
+                                                 observable_id)
 
 
 def wavefront_arrival(trajectories, threshold: float) -> list[float | None]:

@@ -71,29 +71,31 @@ def predicted_table(cfg: ScenarioConfig,
     return analytic.aliphatic_predicted_spectrum(cfg.aliphatic_params(), order)
 
 
+def _observe(cfg: ScenarioConfig):
+    """H, its Propagator from the configured rho0, and each observable's series."""
+    h = build_hamiltonian(cfg)
+    prop = dynamics.Propagator(h, build_initial(cfg))
+    trajectories = {obs_id: prop.series(build_observable(cfg, target), cfg.dt,
+                                        cfg.steps(), obs_id)
+                    for obs_id, target in cfg.observables()}
+    return h, prop, trajectories
+
+
 def run_simulate(cfg: ScenarioConfig) -> SimulationResult:
     """Propagate the configured scenario and sample every observable.
 
     Also tracks conserved quantities: total I_z (xy model) and the energy,
     both of which must stay flat to numerical precision.
     """
-    h = build_hamiltonian(cfg)
-    rho0 = build_initial(cfg)
-    prop = dynamics.Propagator(h)
+    h, prop, trajectories = _observe(cfg)
     steps = cfg.steps()
-
-    trajectories = {}
-    for obs_id, target in cfg.observables():
-        obs = build_observable(cfg, target)
-        trajectories[obs_id] = prop.series(rho0, obs, cfg.dt, steps, obs_id)
-
     conserved = {}
     if cfg.model == "xy":
         iz = total_Iz(cfg.n)
-        series = prop.series(rho0, iz, cfg.dt, steps, "total_Iz")
+        series = prop.series(iz, cfg.dt, steps, "total_Iz")
         conserved["<total_Iz>"] = float(np.max(np.abs(series.values
                                                       - series.values[0])))
-    energy = prop.series(rho0, h, cfg.dt, steps, "H")
+    energy = prop.series(h, cfg.dt, steps, "H")
     conserved["<H>"] = float(np.max(np.abs(energy.values - energy.values[0])))
     return SimulationResult(cfg, trajectories, conserved)
 
@@ -110,16 +112,16 @@ def run_spectrum(cfg: ScenarioConfig) -> SpectrumResult:
     table = predicted_table(cfg)
     split_notes = (analytic.split_notes(cfg.aliphatic_params(), table)
                    if cfg.model == "aliphatic" else [])
-    sim = run_simulate(cfg)
+    _, _, trajectories = _observe(cfg)
 
     spectra_out = {}
     reports = {}
-    for obs_id, traj in sim.trajectories.items():
+    for obs_id, traj in trajectories.items():
         spec = spectra.process_trajectory(traj, cfg.tau, cfg.zero_pad)
         peaks = spectra.pick_peaks(spec)
         reports[obs_id] = spectra.match_peaks(peaks, table, spec.grid_hz)
         spectra_out[obs_id] = spec
-    return SpectrumResult(cfg, sim.trajectories, spectra_out, reports, table,
+    return SpectrumResult(cfg, trajectories, spectra_out, reports, table,
                           split_notes)
 
 

@@ -171,13 +171,13 @@ def test_zero_pad_is_bounded_by_the_fft_limit():
 
 def test_check_dimension_limits():
     for model, n, engine in (("xy", 12, "full"), ("aliphatic", 6, "full"),
-                             ("aliphatic", 14, "restricted")):
+                             ("aliphatic", 13, "restricted")):
         check_dimension(model, n, engine)
     for model, n, engine, message in (
             ("xy", 13, "restricted", "2^13 exceeds the 4096-dim full-matrix"),
             ("aliphatic", 7, "full", "4^7 exceeds the 4096-dim full-engine"),
-            ("aliphatic", 15, "restricted",
-             "2^15 exceeds the 16384-dim restricted-engine")):
+            ("aliphatic", 14, "restricted",
+             "2^14 exceeds the 8192-dim restricted-engine limit (n <= 13)")):
         with pytest.raises(ConfigError) as err:
             check_dimension(model, n, engine)
         assert message in str(err.value)

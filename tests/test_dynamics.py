@@ -131,15 +131,16 @@ def test_population_expectation_on_inverted_term():
 def test_propagate_t0_identity():
     h = build_xy(XYParams(3, 5.0))
     rho0 = initial_xy(InitialPattern(3, frozenset({1})))
-    rho_t = Propagator(h).evolve(rho0, 0.0)
+    rho_t = Propagator(h, rho0).evolve(0.0)
     assert np.max(np.abs(rho_t.entries - rho0.entries)) < 1e-14
 
 
 def test_propagate_preserves_trace_and_spectrum():
     h = build_xy(XYParams(3, 5.0))
     rho0 = initial_xy(InitialPattern(3, frozenset({1})))
+    prop = Propagator(h, rho0)
     for t in (0.1, 1.7, 12.0):
-        rho_t = Propagator(h).evolve(rho0, t)
+        rho_t = prop.evolve(t)
         assert np.trace(rho_t.entries).real == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(np.linalg.eigvalsh(rho_t.entries)
                              - np.linalg.eigvalsh(rho0.entries))) < 1e-10
@@ -300,9 +301,11 @@ def test_trajectory_csv_format():
 def test_series_rejects_mismatched_operator():
     h = build_xy(XYParams(3, 5.0))
     rho0 = initial_xy(InitialPattern(3, frozenset({1})))
-    prop = Propagator(h)
+    prop = Propagator(h, rho0)
     with pytest.raises(ValueError):
-        prop.series(rho0, total_Iz(2), DT, 10)
+        prop.series(total_Iz(2), DT, 10)
+    with pytest.raises(ValueError):
+        Propagator(h, initial_xy(InitialPattern(2, frozenset({1}))))
 
 
 def _random_projector_case(rng, n, full_space):
@@ -326,14 +329,14 @@ def test_factored_series_matches_series_on_dense_entries(full_space, ns):
     for n in ns:
         for _ in range(3):
             h, rho0, obs = _random_projector_case(rng, n, full_space)
-            prop = Propagator(h)
-            dense_rho = Operator(rho0.entries, rho0.basis_tag)
             dense_obs = Operator(obs.entries, obs.basis_tag)
-            reference = prop.series(dense_rho, dense_obs, DT, 300).values
-            for a, b in ((rho0, obs), (rho0, dense_obs), (dense_rho, obs)):
-                values = prop.series(a, b, DT, 300).values
+            prop = Propagator(h, rho0)
+            dense = Propagator(h, Operator(rho0.entries, rho0.basis_tag))
+            reference = dense.series(dense_obs, DT, 300).values
+            for p, b in ((prop, obs), (prop, dense_obs), (dense, obs)):
+                values = p.series(b, DT, 300).values
                 assert np.max(np.abs(values - reference)) < 1e-12
-            energy = prop.series(rho0, h, DT, 300).values
+            energy = prop.series(h, DT, 300).values
             assert np.max(np.abs(energy - energy[0])) < 1e-10
 
 
@@ -341,8 +344,7 @@ def test_complex_hamiltonian_series_matches_evolved_expectation():
     n = 3
     iy = sum(lift(single_spin_op("y"), i, n).entries for i in range(1, n + 1))
     h = Operator(build_xy(XYParams(n, 5.0)).entries + 1.3 * iy, "ab:3")
-    prop = Propagator(h)
-    assert prop.modes.dtype == np.complex128
+    assert Propagator(h, h).modes.dtype == np.complex128
     rng = np.random.default_rng(7)
     vecs = rng.normal(size=(2 ** n, 2)) + 1j * rng.normal(size=(2 ** n, 2))
     cases = [
@@ -353,15 +355,16 @@ def test_complex_hamiltonian_series_matches_evolved_expectation():
     ]
     steps = 40
     for rho0, obs in cases:
-        traj = prop.series(rho0, obs, 0.01, steps)
+        prop = Propagator(h, rho0)
+        traj = prop.series(obs, 0.01, steps)
         expected = [expectation(Operator(obs.entries, obs.basis_tag),
-                                prop.evolve(rho0, t)) for t in traj.times]
+                                prop.evolve(t)) for t in traj.times]
         assert np.max(np.abs(traj.values - expected)) < 1e-12
 
 
 def test_series_rejects_non_hermitian_operator():
     n = 2
-    prop = Propagator(build_xy(XYParams(n, 5.0)))
+    h = build_xy(XYParams(n, 5.0))
     rho = initial_xy(InitialPattern(n, frozenset({1})))
     skews = [
         Operator(1j * rho.entries, rho.basis_tag),          # anti-Hermitian
@@ -369,9 +372,9 @@ def test_series_rejects_non_hermitian_operator():
     ]
     for skew in skews:
         with pytest.raises(ValueError, match="imaginary residue"):
-            prop.series(skew, iz_site(1, n), DT, 100)
+            Propagator(h, skew).series(iz_site(1, n), DT, 100)
         with pytest.raises(ValueError, match="imaginary residue"):
-            prop.series(rho, skew, DT, 100)
+            Propagator(h, rho).series(skew, DT, 100)
 
 
 def test_real_engines_propagate_in_float64():
@@ -380,7 +383,7 @@ def test_real_engines_propagate_in_float64():
               build_aliphatic_restricted(AliphaticParams(n, -14.0, 7.5, 2.5)),
               build_aliphatic_full(AliphaticParams(2, -14.0, 7.5, 2.5))):
         assert h.entries.dtype == np.float64
-        assert Propagator(h).modes.dtype == np.float64
+        assert Propagator(h, h).modes.dtype == np.float64
     assert initial_xy(InitialPattern(n, frozenset({1}))).entries.dtype == np.float64
     for full_space in (False, True):
         rho = initial_aliphatic(InitialPattern(n, frozenset({1, 3})), [1, -1],
@@ -390,13 +393,11 @@ def test_real_engines_propagate_in_float64():
 
 
 def _both_forms(n):
-    """(H, rho0, another rho0, observable): bilinear, then amplitude form."""
+    """(H, rho0, observable): bilinear, then amplitude form."""
     xy = (build_xy(XYParams(n, 5.0)),
-          initial_xy(InitialPattern(n, frozenset({1}))),
-          initial_xy(InitialPattern(n, frozenset({2, 3}))), iz_site(n, n))
+          initial_xy(InitialPattern(n, frozenset({1}))), iz_site(n, n))
     aliphatic = (build_aliphatic_restricted(AliphaticParams(n, -14.0, 7.5, 2.5)),
                  initial_aliphatic(InitialPattern(n, frozenset({1, n})), [1, -1]),
-                 initial_aliphatic(InitialPattern(n, frozenset({2})), [1]),
                  population_op(product_labels("st2", n)[3]))
     return xy, aliphatic
 
@@ -413,14 +414,13 @@ def _count_sines(monkeypatch):
     return sizes
 
 
-def test_series_on_a_new_grid_or_rho0_matches_a_fresh_propagator():
-    for h, rho0, other, obs in _both_forms(4):
-        prop = Propagator(h)
-        prop.series(rho0, obs, DT, 300)
-        for state, dt, steps in ((rho0, 0.007, 150), (other, 0.007, 150),
-                                 (rho0, DT, 301)):
-            again = prop.series(state, obs, dt, steps).values
-            fresh = Propagator(h).series(state, obs, dt, steps).values
+def test_series_on_a_new_grid_matches_a_fresh_propagator():
+    for h, rho0, obs in _both_forms(4):
+        prop = Propagator(h, rho0)
+        prop.series(obs, DT, 300)
+        for dt, steps in ((0.007, 150), (DT, 301)):
+            again = prop.series(obs, dt, steps).values
+            fresh = Propagator(h, rho0).series(obs, dt, steps).values
             assert np.array_equal(again, fresh)
 
 
@@ -431,15 +431,14 @@ def test_phase_table_spanning_kept_and_recomputed_blocks(monkeypatch):
     rows, kept = phase_plan(steps, dim)
     assert (rows, kept) == (7, 28)
     sizes = _count_sines(monkeypatch)
-    for h, rho0, _, obs in _both_forms(4):
-        prop = Propagator(h)
+    for h, rho0, obs in _both_forms(4):
+        prop = Propagator(h, rho0)
         sizes.clear()
-        first = prop.series(rho0, obs, DT, steps).values
+        first = prop.series(obs, DT, steps).values
         assert sum(sizes) == (steps + 1) * dim
         for _ in range(2):
             sizes.clear()
-            assert np.array_equal(prop.series(rho0, obs, DT, steps).values,
-                                  first)
+            assert np.array_equal(prop.series(obs, DT, steps).values, first)
             # only the rows past the kept blocks are recomputed
             assert sum(sizes) == (steps + 1 - kept) * dim
         assert kept * dim <= dynamics.PHASE_CACHE
@@ -477,34 +476,34 @@ def test_series_interleaved_on_two_grids_match_a_fresh_propagator(monkeypatch):
     dim, steps = 16, 100
     monkeypatch.setattr(dynamics, "SERIES_BLOCK", 7 * dim)
     monkeypatch.setattr(dynamics, "PHASE_CACHE", 30 * dim)
-    h, rho0, _, obs = _both_forms(4)[0]
+    h, rho0, obs = _both_forms(4)[0]
     grid_a, grid_b = (DT, steps), (0.007, steps)
-    fresh = {g: Propagator(h).series(rho0, obs, *g).values
+    fresh = {g: Propagator(h, rho0).series(obs, *g).values
              for g in (grid_a, grid_b)}
-    prop = Propagator(h)
-    form = prop._bilinear_form(rho0, obs)
+    prop = Propagator(h, rho0)
+    form = prop._bilinear_form(obs)
     a = np.empty(steps + 1)
     for k, (start, cos, sin) in enumerate(prop._phase_blocks(*grid_a)):
         a[start:start + len(cos)] = form(cos, sin)
         if k == 1:
-            b = prop.series(rho0, obs, *grid_b).values
+            b = prop.series(obs, *grid_b).values
     assert np.array_equal(a, fresh[grid_a])
     assert np.array_equal(b, fresh[grid_b])
     for grid in (grid_a, grid_b, grid_a):
-        assert np.array_equal(prop.series(rho0, obs, *grid).values, fresh[grid])
+        assert np.array_equal(prop.series(obs, *grid).values, fresh[grid])
 
 
 def test_propagator_shared_between_threads(monkeypatch):
     monkeypatch.setattr(dynamics, "SERIES_BLOCK", 16 * 64)
-    h, rho0, _, obs = _both_forms(6)[0]
+    h, rho0, obs = _both_forms(6)[0]
     grids = ((DT, 1000), (0.004, 1000))
-    fresh = {g: Propagator(h).series(rho0, obs, *g).values for g in grids}
-    prop = Propagator(h)
+    fresh = {g: Propagator(h, rho0).series(obs, *g).values for g in grids}
+    prop = Propagator(h, rho0)
     wrong = []
 
     def sample(grid):
         for _ in range(30):
-            if not np.array_equal(prop.series(rho0, obs, *grid).values,
+            if not np.array_equal(prop.series(obs, *grid).values,
                                   fresh[grid]):
                 wrong.append(grid)
     threads = [threading.Thread(target=sample, args=(g,)) for g in grids]

@@ -81,23 +81,24 @@ def test_xy_series_matches_the_dense_oracle_and_conserves_iz():
     for n, j, flips in xy_draws(rng):
         h = build_xy(XYParams(n, j))
         rho0 = initial_xy(InitialPattern(n, frozenset(flips)))
-        prop = Propagator(h)
+        prop = Propagator(h, rho0)
         for obs in [iz(i, n) for i in range(1, n + 1)] + [total_Iz(n), h]:
-            values = prop.series(rho0, obs, DT, STEPS).values
+            values = prop.series(obs, DT, STEPS).values
             assert np.max(np.abs(values - dense_series(h, rho0, obs, DT, STEPS))) < TOL
-        drift = prop.series(rho0, total_Iz(n), DT, STEPS).values
+        drift = prop.series(total_Iz(n), DT, STEPS).values
         assert np.max(np.abs(drift - drift[0])) < TOL
 
 
 def test_xy_series_is_mirror_symmetric():
     rng = np.random.default_rng(1402)
     for n, j, flips in xy_draws(rng):
-        prop = Propagator(build_xy(XYParams(n, j)))
-        rho0 = initial_xy(InitialPattern(n, frozenset(flips)))
-        mirrored = initial_xy(InitialPattern(n, frozenset(n + 1 - s for s in flips)))
+        h = build_xy(XYParams(n, j))
+        prop = Propagator(h, initial_xy(InitialPattern(n, frozenset(flips))))
+        mirror = Propagator(h, initial_xy(
+            InitialPattern(n, frozenset(n + 1 - s for s in flips))))
         for i in range(1, n + 1):
-            a = prop.series(rho0, iz(i, n), DT, STEPS).values
-            b = prop.series(mirrored, iz(n + 1 - i, n), DT, STEPS).values
+            a = prop.series(iz(i, n), DT, STEPS).values
+            b = mirror.series(iz(n + 1 - i, n), DT, STEPS).values
             assert np.max(np.abs(a - b)) < TOL
 
 
@@ -114,15 +115,15 @@ def test_aliphatic_series_matches_the_dense_oracle(full_space, ns):
         h = build(params)
         rho0 = initial_aliphatic(InitialPattern(n, frozenset(sites)), signs,
                                  full_space)
-        prop = Propagator(h)
+        prop = Propagator(h, rho0)
         observables = [population_op(t0_label(n, s), full_space)
                        for s in range(1, n + 1)]
         observables += [h, total_Iz(2 * n) if full_space else _parity(n)]
         for obs in observables:
-            values = prop.series(rho0, obs, DT, STEPS).values
+            values = prop.series(obs, DT, STEPS).values
             assert np.max(np.abs(values - dense_series(h, rho0, obs, DT, STEPS))) < TOL
         # total I_z (full engine) and excitation parity (restricted) stay put
-        drift = prop.series(rho0, observables[-1], DT, STEPS).values
+        drift = prop.series(observables[-1], DT, STEPS).values
         assert np.max(np.abs(drift - drift[0])) < TOL
 
 
@@ -130,15 +131,16 @@ def test_restricted_series_is_mirror_symmetric():
     rng = np.random.default_rng(1405)
     for params, sites, signs in aliphatic_draws(rng, range(2, 9)):
         n = params.n
-        prop = Propagator(build_aliphatic_restricted(params))
-        rho0 = initial_aliphatic(InitialPattern(n, frozenset(sites)), signs)
+        h = build_aliphatic_restricted(params)
+        prop = Propagator(h, initial_aliphatic(
+            InitialPattern(n, frozenset(sites)), signs))
         # initial_aliphatic takes the signs by ascending site
-        mirrored = initial_aliphatic(
-            InitialPattern(n, frozenset(n + 1 - s for s in sites)), signs[::-1])
+        mirror = Propagator(h, initial_aliphatic(
+            InitialPattern(n, frozenset(n + 1 - s for s in sites)), signs[::-1]))
         for i in range(1, n + 1):
-            a = prop.series(rho0, population_op(t0_label(n, i)), DT, STEPS).values
-            b = prop.series(mirrored, population_op(t0_label(n, n + 1 - i)),
-                            DT, STEPS).values
+            a = prop.series(population_op(t0_label(n, i)), DT, STEPS).values
+            b = mirror.series(population_op(t0_label(n, n + 1 - i)),
+                              DT, STEPS).values
             assert np.max(np.abs(a - b)) < TOL
 
 
@@ -152,7 +154,7 @@ def test_full_engine_single_t0_dynamics_ignore_sum_j():
         for sum_j in (params.sum_j, 0.0, rng.uniform(-20.0, 20.0)):
             h = build_aliphatic_full(AliphaticParams.from_deltas(
                 n, params.j_gem, params.delta_j, sum_j))
-            series.append(Propagator(h).series(rho0, obs, DT, STEPS).values)
+            series.append(Propagator(h, rho0).series(obs, DT, STEPS).values)
         for other in series[1:]:
             assert np.max(np.abs(other - series[0])) < TOL
 
@@ -165,25 +167,26 @@ def _total(axis, n):
 def test_operands_with_entries_between_blocks_match_evolve():
     n = 4
     h = build_xy(XYParams(n, 5.0))
-    prop = Propagator(h)
     ix2 = lift(single_spin_op("x"), 2, n)
     # |aa><bb| + |bb><aa| joins the first and last blocks of n = 2 only,
     # so the series is summed over the whole space
     dq = np.zeros((4, 4))
     dq[0, 3] = dq[3, 0] = 1.0
     cases = [
-        (prop, _total("x", n), ix2),
-        (prop, initial_xy(InitialPattern(n, frozenset({1}))), ix2),
-        (prop, _total("x", n), total_Iz(n)),
-        (Propagator(build_xy(XYParams(2, 5.0))),
+        (h, _total("x", n), ix2),
+        (h, initial_xy(InitialPattern(n, frozenset({1}))), ix2),
+        (h, _total("x", n), total_Iz(n)),
+        (build_xy(XYParams(2, 5.0)),
          Operator(dq + np.diag([0.5, 0.0, 0.0, -0.5]), "ab:2"), Operator(dq, "ab:2")),
     ]
-    for p, rho0, obs in cases:
-        traj = p.series(rho0, obs, 0.01, 60)
-        expected = [expectation(obs, p.evolve(rho0, t)) for t in traj.times]
+    for ham, rho0, obs in cases:
+        p = Propagator(ham, rho0)
+        traj = p.series(obs, 0.01, 60)
+        expected = [expectation(obs, p.evolve(t)) for t in traj.times]
         assert np.max(np.abs(traj.values - expected)) < TOL
     # the I_x signal is not trivially zero
-    assert np.max(np.abs(prop.series(_total("x", n), ix2, 0.01, 60).values)) > 0.1
+    signal = Propagator(h, _total("x", n)).series(ix2, 0.01, 60).values
+    assert np.max(np.abs(signal)) > 0.1
 
 
 def _ket(text):
@@ -201,7 +204,6 @@ def _coherence(bra, ket):
 def test_a_projector_term_spanning_blocks_matches_the_dense_oracle():
     n = 4
     h = build_xy(XYParams(n, 5.0))
-    prop = Propagator(h)
     tag = f"ab:{n}"
     # one term spans the first and last blocks, one sits in the one-flip block
     ghz = (_ket("aaaa") + _ket("bbbb")) / np.sqrt(2)
@@ -211,8 +213,9 @@ def test_a_projector_term_spanning_blocks_matches_the_dense_oracle():
     # only an operand with entries between the same blocks reads the GHZ
     # coherence, so the third observable needs it in rho0's eigenbasis form
     joined = Operator(iz(2, n).entries + _coherence("aaaa", "bbbb"), tag)
+    prop = Propagator(h, rho0)
     for obs in (population, iz(2, n), joined):  # amplitude, bilinear forms
-        values = prop.series(rho0, obs, DT, STEPS).values
+        values = prop.series(obs, DT, STEPS).values
         assert np.max(np.abs(values - dense_series(h, rho0, obs, DT, STEPS))) < TOL
         assert np.ptp(values) > 0.1
 
@@ -220,23 +223,25 @@ def test_a_projector_term_spanning_blocks_matches_the_dense_oracle():
 def test_a_dense_operand_joining_two_of_several_blocks_matches_the_dense_oracle():
     n = 4
     h = build_xy(XYParams(n, 5.0))
-    prop = Propagator(h)
     # coherences between the one-flip and three-flip blocks only
     rho0 = Operator(initial_xy(InitialPattern(n, frozenset({1}))).entries
                     + _coherence("baaa", "bbba"), f"ab:{n}")
+    prop = Propagator(h, rho0)
     for obs in (Operator(_coherence("abaa", "abbb"), f"ab:{n}"), iz(3, n)):
-        values = prop.series(rho0, obs, DT, STEPS).values
+        values = prop.series(obs, DT, STEPS).values
         assert np.max(np.abs(values - dense_series(h, rho0, obs, DT, STEPS))) < TOL
         assert np.ptp(values) > 0.1
 
 
 def test_block_sizes_are_the_conserved_sectors():
-    assert Propagator(build_xy(XYParams(9, 5.0))).block_sizes == tuple(
+    # any rho0 will do for H's blocks: each propagator takes H itself
+    xy = build_xy(XYParams(9, 5.0))
+    assert Propagator(xy, xy).block_sizes == tuple(
         math.comb(9, k) for k in range(10))
-    restricted = Propagator(build_aliphatic_restricted(
-        AliphaticParams(10, -14.0, 7.5, 2.5)))
-    assert restricted.block_sizes == (512, 512)
-    full = Propagator(build_aliphatic_full(AliphaticParams(3, -14.0, 7.5, 2.5)))
+    h = build_aliphatic_restricted(AliphaticParams(10, -14.0, 7.5, 2.5))
+    assert Propagator(h, h).block_sizes == (512, 512)
+    h = build_aliphatic_full(AliphaticParams(3, -14.0, 7.5, 2.5))
+    full = Propagator(h, h)
     assert sum(full.block_sizes) == 64
     support = set(np.flatnonzero(np.any(
         [st2_product_vector(t0_label(3, s)) for s in (1, 2, 3)], axis=0)).tolist())
@@ -255,7 +260,8 @@ def test_propagator_makes_one_whole_matrix_eigh(monkeypatch):
         shapes.append(np.shape(a))
         return real_eigh(a, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    prop = Propagator(build_xy(XYParams(6, 5.0)))
+    prop = Propagator(build_xy(XYParams(6, 5.0)),
+                      initial_xy(InitialPattern(6, frozenset({1}))))
     assert shapes == [(64, 64)]
     assert len(prop.block_sizes) == 7
 
@@ -273,4 +279,4 @@ def test_a_mode_spanning_two_blocks_is_refused(monkeypatch):
         return energies, modes
     monkeypatch.setattr(np.linalg, "eigh", rotated)
     with pytest.raises(ValueError, match="outside its block"):
-        Propagator(h)
+        Propagator(h, initial_xy(InitialPattern(2, frozenset({1}))))
