@@ -4,9 +4,10 @@ Propagation solves the Liouville-von Neumann equation exactly through one
 Hermitian eigendecomposition of the Hamiltonian, reused for every time
 sample: rho(t) = exp(-i 2 pi H t) rho(0) exp(+i 2 pi H t) with H in Hz.
 A Propagator follows one rho(0), fixed when it is built. A real Hamiltonian
-is decomposed in real arithmetic. H is block diagonal over the sectors it
-conserves, and the blocks are read from its own zero pattern, so a series
-works block by block and skips the blocks on which an operand vanishes.
+is decomposed in real arithmetic. The blocks are read from the zero
+patterns of H and rho(0) together: the sectors H conserves, joined where
+rho(0) joins two. rho(t) stays inside the blocks of rho(0), so a series
+works block by block over those blocks only, whatever the observable.
 Projector states and populations are kept as weights and vectors
 (spinops.ProjectorSum), so a sample costs d_k * terms per block between
 two of them and d_k^2 per block otherwise.
@@ -170,19 +171,23 @@ def phase_plan(steps: int, dim: int) -> tuple[int, int]:
 class Propagator:
     """One eigendecomposition of H (in Hz), and one initial state rho0.
 
-    The blocks of H are the connected components of its exactly-nonzero
-    pattern, so they are the sectors H conserves (total I_z for XY,
+    The blocks are the connected components of the exactly-nonzero patterns
+    of H and rho0 together: the sectors H conserves (total I_z for XY,
     excitation parity for the restricted chain, every pair's m_p for the
-    full one) without being told them. H is permuted so that each block is
-    one run of rows and decomposed by one eigh of the whole matrix. The
-    Householder reduction maps exact zeros to exact zeros, so every mode
-    lies in one block; that is checked exactly, and a mode reaching outside
-    its block raises. ``modes`` are in the permuted row order with their
-    columns grouped by block, so block k is one slice of rows and modes;
-    blocks come in the order of their first row of H (``block_sizes``).
+    full one), found without being told them, and joined where rho0 joins
+    two of them. So rho(t) has no entry between two blocks, and every series
+    is exactly a sum over the blocks on which rho0 is nonzero, whatever the
+    observable. H is permuted so that each block is one run of rows and
+    decomposed by one eigh of the whole matrix. The Householder reduction
+    maps exact zeros to exact zeros, so every mode lies in one block; that
+    is checked exactly, and a mode reaching outside its block raises. The
+    modes are grouped by block, so block k is one slice of the permuted rows
+    and of the modes; blocks come in the order of their first row of H
+    (``block_sizes``).
 
-    rho0 is fixed at construction: its basis, the blocks it touches (or
-    that it joins two) and V^H rho0 V are found once, for every call.
+    rho0 is fixed at construction. For each block of rho0 the propagator
+    keeps that block's own modes V_k and V_k^H rho0 V_k, so it holds no
+    dim x dim array.
 
     A real symmetric H is decomposed in real arithmetic, so its modes are
     real; a complex Hermitian H (one with an I_y term) takes the same code.
@@ -196,7 +201,10 @@ class Propagator:
         self.dim = hamiltonian.dim
         self._check(rho0)
         h = hamiltonian.entries
-        label = _components(h != 0)
+        h_rows, h_cols = np.nonzero(h)
+        rho0_rows, rho0_cols = _index_pairs(rho0)
+        label = _components(self.dim, np.concatenate([h_rows, rho0_rows]),
+                            np.concatenate([h_cols, rho0_cols]))
         order = np.argsort(label, kind="stable")  # each block one run of rows
         try:
             energies, modes = np.linalg.eigh(h[np.ix_(order, order)])
@@ -212,39 +220,39 @@ class Propagator:
         if (np.any(first != last)
                 or np.any(np.bincount(first, minlength=len(sizes)) != sizes)):
             raise ValueError("an eigenvector of H reaches outside its block "
-                             "of H's nonzero pattern")
+                             "of H's and rho0's nonzero pattern")
         by_block = np.argsort(first, kind="stable")
         self.energies = energies[by_block]
-        self.modes = modes[:, by_block]
-        self._order = order  # H's row of each row of modes
-        self._starts = starts
-        # per block: its rows of H, and its slice of rows and columns of modes
+        # per block: its rows of H, and its slice of permuted rows and modes
         self._blocks = tuple((order[a:a + s], slice(a, a + s))
                              for a, s in zip(starts.tolist(), sizes.tolist()))
         self._phases = (None, ())  # grid (dt, steps), its kept (cos, sin) blocks
         self.rho0 = rho0
-        self._rho0_blocks = self._blocks_of(rho0)
-        # V^H rho0 V on the slices rho0 shares with itself, zero elsewhere
-        parts = [(cols, self._in_eigenbasis(rho0, rows, cols))
-                 for rows, cols in self._slices(rho0)]
-        rho0_e = np.zeros((self.dim, self.dim),
-                          np.result_type(self.modes, *(p for _, p in parts)))
-        for cols, part in parts:
-            rho0_e[cols, cols] = part
-        rho0_e.setflags(write=False)
-        self._rho0_e = rho0_e
+        block_of = np.empty(self.dim, dtype=int)  # of each row of H
+        block_of[order] = block
+        rho0_blocks = []  # rows of H, slice of modes, V_k and V_k^H rho0 V_k
+        hits = np.bincount(block_of[rho0_rows], minlength=len(sizes))
+        for k in np.flatnonzero(hits).tolist():
+            rows, cols = self._blocks[k]
+            # a contiguous copy of this block alone: BLAS on a strided view
+            # can round differently, and a view keeps all of modes alive
+            v = np.ascontiguousarray(modes[cols][:, by_block[cols]])
+            rho0_blocks.append((rows, cols, v,
+                                self._in_eigenbasis(rho0, rows, v)))
+        self._rho0_blocks = tuple(rho0_blocks)
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
-        """States per block of H, blocks in the order of their first row."""
+        """States per block of H and rho0, in the order of their first row."""
         return tuple(len(rows) for rows, _ in self._blocks)
 
     def evolve(self, t: float) -> Operator:
         """rho(t) for a single time; exact unitary evolution."""
-        phases = np.exp(-2j * np.pi * self.energies * t)
-        u = np.empty((self.dim, self.dim), dtype=complex)
-        u[self._order] = self.modes * phases  # V diag(phases), in H's rows
-        rho_t = u @ self._rho0_e @ u.conj().T
+        u = np.zeros((self.dim, self.dim), dtype=complex)
+        for rows, cols, v, _ in self._rho0_blocks:  # U is zero where rho0 is
+            phases = np.exp(-2j * np.pi * self.energies[cols] * t)
+            u[np.ix_(rows, rows)] = (v * phases) @ v.conj().T
+        rho_t = u @ self.rho0.entries @ u.conj().T
         rho_t = 0.5 * (rho_t + rho_t.conj().T)  # strip roundoff skew
         return hermitian_operator(rho_t, self.basis_tag)
 
@@ -253,10 +261,9 @@ class Propagator:
         """Sampled Tr(O rho(t)) at t = 0, dt, ..., steps*dt.
 
         Works in the eigenbasis, from the phase angles theta_j = 2 pi E_j t,
-        one block of H at a time, skipping the blocks on which either
-        operand is exactly zero. An operand with an entry between two blocks
-        (I_x on XY, or a projector term that spans blocks) makes the whole
-        space one slice, so the sum is exact for any operands.
+        one block of rho0 at a time. rho(t) is zero outside those blocks, so
+        the sum is exact for any observable, and the observable's entries
+        outside them are never read.
 
         When both operands are ProjectorSums, rho0 = sum_m w_m |a_m><a_m|
         and O = sum_l u_l |b_l><b_l|, the signal is a sum of transition
@@ -266,7 +273,7 @@ class Propagator:
         p = e^(-i theta): d_k^2 per sample and block, after a basis change
         of d_k^3 for a dense operand and d_k^2 * terms for a ProjectorSum.
         Its imaginary part, which vanishes for Hermitian operands, is
-        guarded.
+        guarded, and a NaN in it raises too.
 
         Both forms read cos and sin of theta in row blocks of SERIES_BLOCK
         numbers. The blocks of one (dt, steps) grid are computed once and
@@ -275,8 +282,8 @@ class Propagator:
         new grid drops the kept blocks.
         """
         self._check(observable)
-        if dt <= 0 or steps < 0:
-            raise ValueError("need dt > 0 and steps >= 0")
+        if not 0 < dt < np.inf or steps < 0:
+            raise ValueError("need a finite dt > 0 and steps >= 0")
         if isinstance(self.rho0, ProjectorSum) and isinstance(observable,
                                                               ProjectorSum):
             form = self._amplitude_form(observable)
@@ -314,34 +321,32 @@ class Propagator:
 
     def _amplitude_form(self, observable: ProjectorSum):
         parts = []
-        for rows, modes in self._slices(observable):
-            v = self._modes_of(modes)
+        for rows, cols, v, _ in self._rho0_blocks:
             a = v.conj().T @ self.rho0.vectors[rows]
             b = v.conj().T @ observable.vectors[rows]
             # column (l, m) holds conj(B_jl) A_jm, weighted by u_l w_m
             pairs = b.conj()[:, :, None] * a[:, None, :]
-            parts.append((modes, pairs.reshape(len(a), -1)))
+            parts.append((cols, pairs.reshape(len(a), -1)))
         weights = np.outer(observable.weights, self.rho0.weights).ravel()
 
         def form(cos, sin):
             amplitudes = np.zeros((len(cos), len(weights)), dtype=complex)
-            for modes, pairs in parts:
-                amplitudes += cos[:, modes] @ pairs - 1j * (sin[:, modes] @ pairs)
+            for cols, pairs in parts:
+                amplitudes += cos[:, cols] @ pairs - 1j * (sin[:, cols] @ pairs)
             return np.abs(amplitudes) ** 2 @ weights
         return form
 
     def _bilinear_form(self, observable):
-        terms = [(modes, self._rho0_e[modes, modes]
-                  * self._in_eigenbasis(observable, rows, modes).T)
-                 for rows, modes in self._slices(observable)]
-        dtype = np.result_type(self._rho0_e, *(b for _, b in terms))
+        terms = [(cols, rho0_e * self._in_eigenbasis(observable, rows, v).T)
+                 for rows, cols, v, rho0_e in self._rho0_blocks]
+        dtype = np.result_type(float, *(b for _, b in terms))
         idle = np.ones(self.dim, dtype=bool)  # modes of no term: B is zero
-        for modes, _ in terms:
-            idle[modes] = False
+        for cols, _ in terms:
+            idle[cols] = False
 
         def products(phase, out):
-            for modes, b in terms:
-                np.matmul(phase[:, modes], b, out=out[:, modes])
+            for cols, b in terms:
+                np.matmul(phase[:, cols], b, out=out[:, cols])
 
         def form(cos, sin):
             # p^T B conj(p) with p = cos - i sin; cos @ B and then sin @ B,
@@ -357,50 +362,20 @@ class Propagator:
                    + 1j * (xs - np.einsum("tk,tk->t", prod, cos)))
             residue = float(np.max(np.abs(sig.imag)))
             scale = max(1.0, float(np.max(np.abs(sig.real))))
-            if residue > IMAG_RESIDUE_TOL * scale:
+            if not residue <= IMAG_RESIDUE_TOL * scale:  # NaN fails too
                 raise ValueError(f"imaginary residue {residue:.3e} in series; "
                                  "non-Hermitian inputs?")
             return sig.real
         return form
 
-    def _slices(self, observable: Operator | ProjectorSum):
-        """(rows of H, slice of modes) of each block on which neither rho0 nor
-        the observable is zero; the whole space, once, if either has an entry
-        between two blocks."""
-        touched = self._rho0_blocks
-        seen = None if touched is None else self._blocks_of(observable)
-        if seen is None:
-            return [(self._order, slice(None))]
-        return [self._blocks[k] for k in np.flatnonzero(touched & seen)]
-
-    def _blocks_of(self, op: Operator | ProjectorSum) -> np.ndarray | None:
-        """Per block, whether op is nonzero on it; None if op has an entry
-        between two blocks."""
-        if isinstance(op, ProjectorSum):
-            # per block and term: the term has a nonzero row in the block
-            hits = np.logical_or.reduceat(op.vectors[self._order] != 0,
-                                          self._starts)
-            if np.any(np.count_nonzero(hits, axis=0) > 1):
-                return None
-            return hits.any(axis=1)
-        inside = np.array([np.count_nonzero(op.entries[np.ix_(rows, rows)])
-                           for rows, _ in self._blocks])
-        if inside.sum() != np.count_nonzero(op.entries):
-            return None
-        return inside > 0
-
-    def _in_eigenbasis(self, op: Operator | ProjectorSum, rows: np.ndarray,
-                       modes: slice) -> np.ndarray:
-        """V^H O V on one slice: its rows of H and its modes."""
-        v = self._modes_of(modes)
+    @staticmethod
+    def _in_eigenbasis(op: Operator | ProjectorSum, rows: np.ndarray,
+                       v: np.ndarray) -> np.ndarray:
+        """V_k^H O V_k on one block: its rows of H and its modes V_k."""
         if isinstance(op, ProjectorSum):
             a = v.conj().T @ op.vectors[rows]
             return (a * op.weights) @ a.conj().T
         return v.conj().T @ op.entries[np.ix_(rows, rows)] @ v
-
-    def _modes_of(self, modes: slice) -> np.ndarray:
-        # one contiguous copy: BLAS on a strided view can round differently
-        return np.ascontiguousarray(self.modes[modes, modes])
 
     def _check(self, op: Operator | ProjectorSum):
         if op.basis_tag != self.basis_tag or op.dim != self.dim:
@@ -408,15 +383,27 @@ class Propagator:
                              f"does not match propagator {self.basis_tag}")
 
 
-def _components(pattern: np.ndarray) -> np.ndarray:
-    """Connected-component label of each index of a square nonzero pattern.
+def _index_pairs(op: Operator | ProjectorSum) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) that op joins; every nonzero row of op is an i.
 
-    Row and column indices are the nodes of one undirected graph with an
-    edge per nonzero entry; an index's label is the smallest index of its
-    component, found by label propagation with pointer jumping.
+    A dense operand joins the indices of each nonzero entry. A ProjectorSum
+    term joins its nonzero rows, paired here with the term's first one.
     """
-    i, j = np.nonzero(pattern | pattern.T)
-    label = np.arange(len(pattern))
+    if isinstance(op, ProjectorSum):
+        term, row = np.nonzero(op.vectors.T)  # by term, rows ascending
+        return row, row[np.searchsorted(term, term)]
+    return np.nonzero(op.entries)
+
+
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of n indices joined by pairs (i, j).
+
+    The indices are the nodes of one undirected graph with an edge per pair;
+    an index's label is the smallest index of its component, found by label
+    propagation with pointer jumping.
+    """
+    i, j = np.concatenate([i, j]), np.concatenate([j, i])
+    label = np.arange(n)
     while True:
         low = label.copy()
         np.minimum.at(low, i, label[j])

@@ -109,7 +109,8 @@ def pick_peaks(spectrum: Spectrum,
     pre-padding resolution element: zero padding only interpolates, and the
     interpolated tails of truncated lines ripple with exactly that period)
     and strictly exceed its immediate neighbors. Positions and heights are
-    refined by parabolic interpolation of the log magnitude over 3 bins.
+    refined by parabolic interpolation of the log magnitude over 3 bins; a
+    line next to an exactly-zero bin keeps its bin's frequency and height.
     """
     if not 0 < rel_threshold < 1:
         raise ValueError("rel_threshold must lie in (0, 1)")
@@ -127,10 +128,13 @@ def pick_peaks(spectrum: Spectrum,
         hi = min(len(mag), i + window + 1)
         if int(np.argmax(mag[lo:hi])) + lo != i:
             continue
-        la, lc, lb = np.log(mag[i - 1]), np.log(mag[i]), np.log(mag[i + 1])
-        shift = 0.5 * (la - lb) / (la - 2 * lc + lb)
-        height = float(np.exp(lc - 0.25 * (la - lb) * shift))
-        peaks.append(Peak(float(spectrum.freq[i] + shift * grid), height))
+        freq, height = float(spectrum.freq[i]), float(mag[i])
+        if mag[i - 1] > 0 and mag[i + 1] > 0:  # the log needs both positive
+            la, lc, lb = np.log(mag[i - 1]), np.log(mag[i]), np.log(mag[i + 1])
+            shift = 0.5 * (la - lb) / (la - 2 * lc + lb)
+            freq += shift * grid
+            height = float(np.exp(lc - 0.25 * (la - lb) * shift))
+        peaks.append(Peak(freq, height))
     return peaks
 
 

@@ -340,11 +340,25 @@ def test_factored_series_matches_series_on_dense_entries(full_space, ns):
             assert np.max(np.abs(energy - energy[0])) < 1e-10
 
 
-def test_complex_hamiltonian_series_matches_evolved_expectation():
+def _eigh_dtypes(monkeypatch):
+    """Record the dtype of every matrix np.linalg.eigh receives from here on."""
+    dtypes = []
+    real_eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return real_eigh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return dtypes
+
+
+def test_complex_hamiltonian_series_matches_evolved_expectation(monkeypatch):
     n = 3
     iy = sum(lift(single_spin_op("y"), i, n).entries for i in range(1, n + 1))
     h = Operator(build_xy(XYParams(n, 5.0)).entries + 1.3 * iy, "ab:3")
-    assert Propagator(h, h).modes.dtype == np.complex128
+    dtypes = _eigh_dtypes(monkeypatch)
+    Propagator(h, h)
+    assert dtypes == [np.complex128]
     rng = np.random.default_rng(7)
     vecs = rng.normal(size=(2 ** n, 2)) + 1j * rng.normal(size=(2 ** n, 2))
     cases = [
@@ -369,6 +383,7 @@ def test_series_rejects_non_hermitian_operator():
     skews = [
         Operator(1j * rho.entries, rho.basis_tag),          # anti-Hermitian
         Operator(np.triu(np.ones((4, 4))), rho.basis_tag),   # real, asymmetric
+        Operator(np.full((4, 4), np.nan), rho.basis_tag),    # NaN
     ]
     for skew in skews:
         with pytest.raises(ValueError, match="imaginary residue"):
@@ -377,13 +392,25 @@ def test_series_rejects_non_hermitian_operator():
             Propagator(h, rho).series(skew, DT, 100)
 
 
-def test_real_engines_propagate_in_float64():
+def test_series_rejects_a_step_that_is_not_positive_and_finite():
+    n = 2
+    h = build_xy(XYParams(n, 5.0))
+    prop = Propagator(h, initial_xy(InitialPattern(n, frozenset({1}))))
+    for dt in (0.0, -0.01, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt > 0"):
+            prop.series(iz_site(1, n), dt, 100)
+
+
+def test_real_engines_propagate_in_float64(monkeypatch):
     n = 3
+    dtypes = _eigh_dtypes(monkeypatch)
     for h in (build_xy(XYParams(n, 5.0)),
               build_aliphatic_restricted(AliphaticParams(n, -14.0, 7.5, 2.5)),
               build_aliphatic_full(AliphaticParams(2, -14.0, 7.5, 2.5))):
         assert h.entries.dtype == np.float64
-        assert Propagator(h, h).modes.dtype == np.float64
+        dtypes.clear()
+        Propagator(h, h)
+        assert dtypes == [np.float64]
     assert initial_xy(InitialPattern(n, frozenset({1}))).entries.dtype == np.float64
     for full_space in (False, True):
         rho = initial_aliphatic(InitialPattern(n, frozenset({1, 3})), [1, -1],

@@ -1,5 +1,6 @@
 """Block-diagonal propagation: the blocks of H, seeded draws against a dense oracle."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,8 @@ def test_a_dense_operand_joining_two_of_several_blocks_matches_the_dense_oracle(
     rho0 = Operator(initial_xy(InitialPattern(n, frozenset({1}))).entries
                     + _coherence("baaa", "bbba"), f"ab:{n}")
     prop = Propagator(h, rho0)
+    # rho0 joins the one-flip and three-flip sectors into one block
+    assert prop.block_sizes == (1, 8, 6, 1)
     for obs in (Operator(_coherence("abaa", "abbb"), f"ab:{n}"), iz(3, n)):
         values = prop.series(obs, DT, STEPS).values
         assert np.max(np.abs(values - dense_series(h, rho0, obs, DT, STEPS))) < TOL
@@ -250,6 +253,24 @@ def test_block_sizes_are_the_conserved_sectors():
     assert block == support and len(block) == 2 ** 3
     with pytest.raises(AttributeError):
         full.block_sizes = ()
+
+
+def test_a_propagator_retains_no_dim_by_dim_array():
+    n = 4
+    h = build_aliphatic_full(AliphaticParams(n, -14.0, 7.5, 2.5))
+    rho0 = initial_aliphatic(InitialPattern(n, frozenset({1, 3})), [1.0, -1.0],
+                             full_space=True)
+    Propagator(h, rho0)  # so that one-time lazy allocations are not counted
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prop = Propagator(h, rho0)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert prop.dim == 256 and len(prop.block_sizes) == 81
+    # one real dim x dim array alone is four times this bound
+    assert retained < prop.dim ** 2 * 8 / 4
 
 
 def test_propagator_makes_one_whole_matrix_eigh(monkeypatch):

@@ -158,6 +158,13 @@ def test_pick_peaks_flat_spectrum_empty():
     assert pick_peaks(spec, 0.05) == []
 
 
+def test_pick_peaks_next_to_a_zero_bin_keep_their_bin():
+    freq = np.arange(8) * 0.25
+    spec = Spectrum(freq, [0.3, 0, 1, 0, 0.2, 0.1, 0.05, 0], {})
+    # no log(0): each line keeps its bin's frequency and height
+    assert pick_peaks(spec, 0.05) == [Peak(0.5, 1.0), Peak(1.0, 0.2)]
+
+
 def test_pick_peaks_threshold_validation():
     spec = process_trajectory(tone(5.0), 5.0, 4)
     with pytest.raises(ValueError):
