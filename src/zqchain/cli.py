@@ -16,6 +16,7 @@ files and prints the same lines, in job order, whatever its --threads.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -33,8 +34,8 @@ CONSERVED_TOL = 1e-12  # the tests' trajectory bound; drift below it is roundoff
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_join_signs(sys.argv[1:] if argv is None else argv))
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser().parse_args(_join_signs(argv))
     try:
         return args.func(args)
     except (KeyError, ValueError) as exc:  # ConfigError is a ValueError
@@ -58,7 +59,9 @@ def _join_signs(argv) -> list[str]:
     return out
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="zqchain",
         description="Spin-chain zero-quantum spectroscopy simulator")

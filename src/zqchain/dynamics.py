@@ -186,8 +186,9 @@ class Propagator:
     (``block_sizes``).
 
     rho0 is fixed at construction. For each block of rho0 the propagator
-    keeps that block's own modes V_k and V_k^H rho0 V_k, so it holds no
-    dim x dim array.
+    keeps that block's own modes V_k and rho0 in them: V_k^H a (d_k x terms)
+    for a ProjectorSum, V_k^H rho0 V_k otherwise. So it holds no dim x dim
+    array, and a ProjectorSum rho0 no d_k x d_k one beyond V_k.
 
     A real symmetric H is decomposed in real arithmetic, so its modes are
     real; a complex Hermitian H (one with an I_y term) takes the same code.
@@ -230,15 +231,14 @@ class Propagator:
         self.rho0 = rho0
         block_of = np.empty(self.dim, dtype=int)  # of each row of H
         block_of[order] = block
-        rho0_blocks = []  # rows of H, slice of modes, V_k and V_k^H rho0 V_k
+        rho0_blocks = []  # rows of H, slice of modes, V_k and rho0 in V_k
         hits = np.bincount(block_of[rho0_rows], minlength=len(sizes))
         for k in np.flatnonzero(hits).tolist():
             rows, cols = self._blocks[k]
             # a contiguous copy of this block alone: BLAS on a strided view
             # can round differently, and a view keeps all of modes alive
             v = np.ascontiguousarray(modes[cols][:, by_block[cols]])
-            rho0_blocks.append((rows, cols, v,
-                                self._in_eigenbasis(rho0, rows, v)))
+            rho0_blocks.append((rows, cols, v, _in_modes(rho0, rows, v)))
         self._rho0_blocks = tuple(rho0_blocks)
 
     @property
@@ -321,9 +321,8 @@ class Propagator:
 
     def _amplitude_form(self, observable: ProjectorSum):
         parts = []
-        for rows, cols, v, _ in self._rho0_blocks:
-            a = v.conj().T @ self.rho0.vectors[rows]
-            b = v.conj().T @ observable.vectors[rows]
+        for rows, cols, v, a in self._rho0_blocks:
+            b = _in_modes(observable, rows, v)
             # column (l, m) holds conj(B_jl) A_jm, weighted by u_l w_m
             pairs = b.conj()[:, :, None] * a[:, None, :]
             parts.append((cols, pairs.reshape(len(a), -1)))
@@ -337,8 +336,9 @@ class Propagator:
         return form
 
     def _bilinear_form(self, observable):
-        terms = [(cols, rho0_e * self._in_eigenbasis(observable, rows, v).T)
-                 for rows, cols, v, rho0_e in self._rho0_blocks]
+        terms = [(cols, _matrix(self.rho0, rho0_v)
+                  * _matrix(observable, _in_modes(observable, rows, v)).T)
+                 for rows, cols, v, rho0_v in self._rho0_blocks]
         dtype = np.result_type(float, *(b for _, b in terms))
         idle = np.ones(self.dim, dtype=bool)  # modes of no term: B is zero
         for cols, _ in terms:
@@ -368,19 +368,29 @@ class Propagator:
             return sig.real
         return form
 
-    @staticmethod
-    def _in_eigenbasis(op: Operator | ProjectorSum, rows: np.ndarray,
-                       v: np.ndarray) -> np.ndarray:
-        """V_k^H O V_k on one block: its rows of H and its modes V_k."""
-        if isinstance(op, ProjectorSum):
-            a = v.conj().T @ op.vectors[rows]
-            return (a * op.weights) @ a.conj().T
-        return v.conj().T @ op.entries[np.ix_(rows, rows)] @ v
-
     def _check(self, op: Operator | ProjectorSum):
         if op.basis_tag != self.basis_tag or op.dim != self.dim:
             raise ValueError(f"operator basis {op.basis_tag} (dim {op.dim}) "
                              f"does not match propagator {self.basis_tag}")
+
+
+def _in_modes(op: Operator | ProjectorSum, rows: np.ndarray,
+              v: np.ndarray) -> np.ndarray:
+    """op on one block, its rows of H, in the block's modes V_k.
+
+    V_k^H a (d_k x terms) for a ProjectorSum sum_m w_m |a_m><a_m|, and
+    V_k^H O V_k (d_k x d_k) for a dense operand.
+    """
+    if isinstance(op, ProjectorSum):
+        return v.conj().T @ op.vectors[rows]
+    return v.conj().T @ op.entries[np.ix_(rows, rows)] @ v
+
+
+def _matrix(op: Operator | ProjectorSum, in_modes: np.ndarray) -> np.ndarray:
+    """V_k^H O V_k from op's _in_modes form."""
+    if isinstance(op, ProjectorSum):
+        return (in_modes * op.weights) @ in_modes.conj().T
+    return in_modes
 
 
 def _index_pairs(op: Operator | ProjectorSum) -> tuple[np.ndarray, np.ndarray]:
@@ -452,9 +462,15 @@ def linear_fit_r2(x, y) -> tuple[float, float, float]:
 
 
 def format_csv(header: str, x: np.ndarray, y: np.ndarray) -> str:
-    """Two-column CSV: the header line, then one "x,y" row per sample, 12 digits."""
-    rows = map("{:.12g},{:.12g}\n".format, x.tolist(), y.tolist())
-    return header + "\n" + "".join(rows)
+    """Two-column CSV: the header line, then one "x,y" row per sample, 12 digits.
+
+    The whole body is one % operation on the interleaved columns, whose
+    %.12g prints each float as "{:.12g}".format does.
+    """
+    if len(x) != len(y):
+        raise ValueError(f"CSV columns of {len(x)} and {len(y)} rows")
+    xy = np.column_stack([x, y]).ravel()
+    return header + "\n" + ("%.12g,%.12g\n" * len(x)) % tuple(xy.tolist())
 
 
 def format_trajectory_csv(traj: Trajectory) -> str:

@@ -105,12 +105,14 @@ def pick_peaks(spectrum: Spectrum,
                rel_threshold: float = DEFAULT_PEAK_THRESHOLD) -> list[Peak]:
     """Spectral lines above a relative threshold, sub-bin refined.
 
-    A line must be the maximum over a window of +-zero_pad_factor bins (one
-    pre-padding resolution element: zero padding only interpolates, and the
-    interpolated tails of truncated lines ripple with exactly that period)
-    and strictly exceed its immediate neighbors. Positions and heights are
-    refined by parabolic interpolation of the log magnitude over 3 bins; a
-    line next to an exactly-zero bin keeps its bin's frequency and height.
+    The candidates are the inner bins at or above the floor that strictly
+    exceed both immediate neighbors. A candidate is a line when it is the
+    first maximum over a window of +-zero_pad_factor bins (one pre-padding
+    resolution element: zero padding only interpolates, and the interpolated
+    tails of truncated lines ripple with exactly that period). Positions and
+    heights are refined by parabolic interpolation of the log magnitude over
+    3 bins; a line next to an exactly-zero bin keeps its bin's frequency and
+    height.
     """
     if not 0 < rel_threshold < 1:
         raise ValueError("rel_threshold must lie in (0, 1)")
@@ -120,10 +122,12 @@ def pick_peaks(spectrum: Spectrum,
     floor = rel_threshold * mag.max()
     window = max(1, int(spectrum.meta.get("zero_pad_factor", 1)))
     grid = spectrum.grid_hz
+    mid = mag[1:-1]
+    # not below the floor (a NaN floor excludes no bin), above both neighbors
+    candidates = np.flatnonzero(~(mid < floor) & (mid > mag[:-2])
+                                & (mid > mag[2:])) + 1
     peaks = []
-    for i in range(1, len(mag) - 1):
-        if mag[i] < floor or not (mag[i] > mag[i - 1] and mag[i] > mag[i + 1]):
-            continue
+    for i in candidates.tolist():
         lo = max(0, i - window)
         hi = min(len(mag), i + window + 1)
         if int(np.argmax(mag[lo:hi])) + lo != i:

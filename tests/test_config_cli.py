@@ -360,6 +360,23 @@ def test_cli_spectrum_fig6c(tmp_path):
     assert spec_lines[0] == "freq_hz,magnitude"
 
 
+def test_a_refused_call_leaves_the_parser_as_it_was(tmp_path, capsys):
+    def fig6c(out):
+        assert main(["preset", "fig6c", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        return stdout, {p.name: p.read_bytes() for p in out.iterdir()}
+
+    first = fig6c(tmp_path / "a")
+    with pytest.raises(SystemExit) as exc:  # argparse exits on a bad choice
+        main(["preset", "no-such-preset"])
+    assert exc.value.code == 2
+    assert main(["spectrum", "--model", "xy", "--n", "4", "--j", "nan",
+                 "--out", str(tmp_path / "c")]) == 2
+    capsys.readouterr()
+    assert fig6c(tmp_path / "b") == first
+    assert len(first[1]) == 2
+
+
 def test_cli_config_file_stem_used(tmp_path):
     path = write(tmp_path, "myrun.yaml", FIG6C_YAML)
     rc = main(["spectrum", "--config", path, "--out", str(tmp_path)])

@@ -255,11 +255,8 @@ def test_block_sizes_are_the_conserved_sectors():
         full.block_sizes = ()
 
 
-def test_a_propagator_retains_no_dim_by_dim_array():
-    n = 4
-    h = build_aliphatic_full(AliphaticParams(n, -14.0, 7.5, 2.5))
-    rho0 = initial_aliphatic(InitialPattern(n, frozenset({1, 3})), [1.0, -1.0],
-                             full_space=True)
+def _retained_bytes(h, rho0):
+    """Bytes a Propagator of (h, rho0) keeps alive once built."""
     Propagator(h, rho0)  # so that one-time lazy allocations are not counted
     tracemalloc.start()
     try:
@@ -268,9 +265,29 @@ def test_a_propagator_retains_no_dim_by_dim_array():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    return prop, retained
+
+
+def test_a_propagator_retains_no_dim_by_dim_array():
+    n = 4
+    h = build_aliphatic_full(AliphaticParams(n, -14.0, 7.5, 2.5))
+    rho0 = initial_aliphatic(InitialPattern(n, frozenset({1, 3})), [1.0, -1.0],
+                             full_space=True)
+    prop, retained = _retained_bytes(h, rho0)
     assert prop.dim == 256 and len(prop.block_sizes) == 81
     # one real dim x dim array alone is four times this bound
     assert retained < prop.dim ** 2 * 8 / 4
+
+    # a ProjectorSum rho0 is kept as V_k^H a, not as V_k^H rho0 V_k
+    n = 8
+    h = build_aliphatic_restricted(AliphaticParams(n, -14.0, 7.5, 2.5))
+    rho0 = initial_aliphatic(InitialPattern(n, frozenset({1, 3, 6})),
+                             [1.0, -1.0, 1.0])
+    prop, retained = _retained_bytes(h, rho0)
+    (d_k,) = [len(rows) for rows, *_ in prop._rho0_blocks]
+    assert prop.block_sizes == (128, 128) and d_k == 128
+    # the block's real modes V_k are d_k^2 doubles; all else is under half that
+    assert retained < 1.5 * d_k ** 2 * 8
 
 
 def test_propagator_makes_one_whole_matrix_eigh(monkeypatch):

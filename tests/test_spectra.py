@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from zqchain.analytic import transition_table, xy_predicted_spectrum
-from zqchain.dynamics import (InitialPattern, Trajectory, format_trajectory_csv,
-                              initial_xy, observe_series)
+from zqchain.dynamics import (InitialPattern, Trajectory, format_csv,
+                              format_trajectory_csv, initial_xy, observe_series)
 from zqchain.hamiltonians import XYParams, build_xy
 from zqchain.spectra import (
     Peak,
@@ -173,6 +173,50 @@ def test_pick_peaks_threshold_validation():
         pick_peaks(spec, 1.0)
 
 
+def _per_bin_peaks(spectrum, rel_threshold):
+    """pick_peaks as one test per bin: the reference for its candidate search."""
+    mag = spectrum.magnitude
+    if len(mag) < 3 or mag.max() == 0:
+        return []
+    floor = rel_threshold * mag.max()
+    window = max(1, int(spectrum.meta.get("zero_pad_factor", 1)))
+    grid = spectrum.grid_hz
+    peaks = []
+    for i in range(1, len(mag) - 1):
+        if mag[i] < floor or not (mag[i] > mag[i - 1] and mag[i] > mag[i + 1]):
+            continue
+        lo = max(0, i - window)
+        hi = min(len(mag), i + window + 1)
+        if int(np.argmax(mag[lo:hi])) + lo != i:
+            continue
+        freq, height = float(spectrum.freq[i]), float(mag[i])
+        if mag[i - 1] > 0 and mag[i + 1] > 0:
+            la, lc, lb = np.log(mag[i - 1]), np.log(mag[i]), np.log(mag[i + 1])
+            shift = 0.5 * (la - lb) / (la - 2 * lc + lb)
+            freq += shift * grid
+            height = float(np.exp(lc - 0.25 * (la - lb) * shift))
+        peaks.append(Peak(freq, height))
+    return peaks
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pick_peaks_equals_the_per_bin_search(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(3, 400))
+    if seed % 2:  # few levels: plateaus, equal neighbors, ties in a window
+        mag = rng.integers(0, 4, size=size).astype(float)
+    else:  # continuous heights, some bins exactly zero
+        mag = rng.exponential(size=size) * (rng.random(size) > 0.2)
+    if seed % 5 == 0 and size > 4:  # the window is clipped at both ends
+        mag[[1, -2]] = mag.max() + 1.0
+    if seed % 8 == 7:  # a NaN makes the floor NaN, so no bin is below it
+        mag[int(rng.integers(size))] = math.nan
+    spec = Spectrum(np.arange(size) * 0.05, mag,
+                    {"zero_pad_factor": (1, 4)[seed % 4 // 2]})
+    for rel in (0.05, 0.5, 0.99):
+        assert pick_peaks(spec, rel) == _per_bin_peaks(spec, rel)
+
+
 @pytest.mark.parametrize("freq", [0.5, 1.3, 5.0, 12.7, 20.0])
 def test_single_tone_frequency_accuracy(freq):
     spec = process_trajectory(tone(freq), 5.0, 4)
@@ -244,7 +288,8 @@ def _per_row_csv(header, x, y):
 
 def test_csv_formatter_equals_the_per_row_format():
     rng = np.random.default_rng(11)
-    special = [-0.0, 5e-324, 1e300, 0.1 + 0.2, 3.0, -42.0, 1e16, 0.5]
+    special = [-0.0, 5e-324, 1e300, 0.1 + 0.2, 3.0, -42.0, 1e16, 0.5,
+               math.nan, math.inf, -math.inf]
     values = np.concatenate([special, rng.normal(size=64)
                              * 10.0 ** rng.integers(-12, 12, size=64)])
     traj = Trajectory(DT, values, "site1")
@@ -256,3 +301,12 @@ def test_csv_formatter_equals_the_per_row_format():
         "freq_hz,magnitude", spec.freq, spec.magnitude)
     assert format_trajectory_csv(Trajectory(DT, np.array([]), "e")) == (
         "t_seconds,value\n")
+    spec = process_trajectory(tone(5.0), 5.0, 4)  # a preset spectrum's size
+    assert len(spec.freq) == 8003
+    assert format_spectrum_csv(spec) == _per_row_csv(
+        "freq_hz,magnitude", spec.freq, spec.magnitude)
+
+
+def test_csv_formatter_refuses_columns_of_different_lengths():
+    with pytest.raises(ValueError, match="3 and 2 rows"):
+        format_csv("x,y", np.zeros(3), np.zeros(2))
