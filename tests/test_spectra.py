@@ -1,9 +1,11 @@
 """Spectral processing: transforms, peak picking, matching."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from zqchain import pipeline, presets, spectra
 from zqchain.analytic import transition_table, xy_predicted_spectrum
 from zqchain.dynamics import (InitialPattern, Trajectory, format_csv,
                               format_trajectory_csv, initial_xy, observe_series)
@@ -62,6 +64,116 @@ def test_apodized_line_has_lorentzian_width():
     half_width = 0.5 * (spec.freq[above[-1]] - spec.freq[above[0]])
     assert abs(half_width - 1 / (2 * np.pi * tau)) < spec.grid_hz
 
+
+@pytest.mark.parametrize("freq, mag", [
+    ([0.0, 1.0], [1.0, math.nan]),
+    ([0.0, 1.0], [1.0, math.inf]),
+    ([0.0, 1.0], [1.0, -1.0]),
+    ([0.0, math.nan], [1.0, 1.0]),
+])
+def test_spectrum_refuses_values_that_are_not_finite_magnitudes(freq, mag):
+    with pytest.raises(ValueError, match="must be finite"):
+        Spectrum(freq, mag, {})
+
+
+@pytest.mark.parametrize("n_samples", [2, 3, 5, 17, 64, 1000, 4000, 4001])
+def test_chirp_z_transform_equals_numpy_rfft(n_samples):
+    rng = np.random.default_rng(n_samples)
+    values = rng.normal(size=n_samples)
+    for pad in range(1, 6):
+        ours = spectra._rfft(values, n_samples * pad)
+        ref = np.fft.rfft(values, n_samples * pad)
+        assert ours.shape == ref.shape
+        assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than float64 here")
+def test_chirp_z_transform_against_an_extended_precision_dft():
+    """The fig7 n = 5 site-1 series as the pipeline transforms it, against a
+    DFT summed in long double from exactly reduced angles 2 pi (jk mod N)/N."""
+    job, = (j for j in presets.expand("fig7") if j.stem == "fig7-n5-inv1")
+    traj = pipeline.run_simulate(job.config).trajectories["site1"]
+    values = apodize(remove_dc(traj), job.config.tau).values
+    n_pad = len(values) * job.config.zero_pad
+    angle = 8 * np.arctan(np.longdouble(1)) * np.arange(n_pad) / n_pad
+    cos, sin = np.cos(angle), np.sin(angle)
+    j = np.arange(len(values))
+    wide = values.astype(np.longdouble)
+    exact = np.empty(n_pad // 2 + 1, dtype=np.clongdouble)
+    for start in range(0, len(exact), 1000):
+        k = np.arange(start, min(start + 1000, len(exact)))
+        r = np.outer(k, j) % n_pad
+        exact[k] = cos[r] @ wide - 1j * (sin[r] @ wide)
+    err = np.max(np.abs(spectra._rfft(values, n_pad) - exact))
+    assert err <= 2e-15 * np.max(np.abs(exact))
+
+
+def test_chirp_z_transform_of_zeros_is_exactly_zero():
+    for n_samples, pad in ((2, 1), (64, 3), (4001, 4)):
+        out = spectra._rfft(np.zeros(n_samples), n_samples * pad)
+        assert out.shape == (n_samples * pad // 2 + 1,)
+        assert not np.any(out)
+
+
+def test_smooth_length_is_the_smallest_5_smooth_length():
+    smooth = sorted(2 ** a * 3 ** b * 5 ** c for a in range(14)
+                    for b in range(9) for c in range(7)
+                    if 2 ** a * 3 ** b * 5 ** c <= 2 * 5000)
+    for n in range(1, 5001):
+        assert spectra._smooth_length(n) == next(m for m in smooth if m >= n)
+
+
+def _is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_spectra_take_only_5_smooth_fft_lengths(monkeypatch):
+    """The preset length 4 x 4001 (4001 prime) is taken without any FFT at a
+    slow length, and one plan is kept whatever sizes came before."""
+    lengths = []
+
+    def recorded(fft):
+        def call(a, n=None, *args, **kwargs):
+            lengths.append(len(a) if n is None else n)
+            return fft(a, n, *args, **kwargs)
+        return call
+
+    for name in ("fft", "ifft", "rfft"):
+        monkeypatch.setattr(np.fft, name, recorded(getattr(np.fft, name)))
+    spectra._kept_chirp_plan.cache_clear()
+    for pad in range(1, 6):
+        process_trajectory(tone(5.0), 5.0, pad)
+    assert lengths and all(_is_5_smooth(n) for n in lengths)
+    process_trajectory(tone(5.0, n=1000), 5.0, 4)
+    assert spectra._kept_chirp_plan.cache_info().currsize == 1
+
+
+def test_a_plan_above_the_cache_bound_is_not_kept(monkeypatch):
+    """A spectrum whose chirp-z plan exceeds PLAN_CACHE_BYTES leaves no plan
+    behind; one within the bound keeps exactly its own plan."""
+    values = np.random.default_rng(3).normal(size=4001)
+    spectra._kept_chirp_plan.cache_clear()
+    spectra._rfft(values, 4 * 4001)
+    chirp, kernel = spectra._kept_chirp_plan(4001, 4 * 4001, 12150)
+    assert spectra._kept_chirp_plan.cache_info().hits == 1
+    plan_bytes = chirp.nbytes + kernel.nbytes
+    assert plan_bytes <= spectra.PLAN_CACHE_BYTES
+    del chirp, kernel
+    monkeypatch.setattr(spectra, "PLAN_CACHE_BYTES", plan_bytes - 1)
+    spectra._kept_chirp_plan.cache_clear()
+    spectra._rfft(values, 4 * 4001)
+    tracemalloc.start()
+    try:
+        spectra._rfft(values, 4 * 4001)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert spectra._kept_chirp_plan.cache_info().currsize == 0
+    assert retained < plan_bytes / 4
 
 def test_remove_dc_constant_and_zero_mean():
     const = Trajectory(DT, np.full(100, 3.3), "c")
@@ -209,8 +321,11 @@ def test_pick_peaks_equals_the_per_bin_search(seed):
         mag = rng.exponential(size=size) * (rng.random(size) > 0.2)
     if seed % 5 == 0 and size > 4:  # the window is clipped at both ends
         mag[[1, -2]] = mag.max() + 1.0
-    if seed % 8 == 7:  # a NaN makes the floor NaN, so no bin is below it
+    if seed % 8 == 7:  # a NaN bin never reaches pick_peaks
         mag[int(rng.integers(size))] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum(np.arange(size) * 0.05, mag, {})
+        return
     spec = Spectrum(np.arange(size) * 0.05, mag,
                     {"zero_pad_factor": (1, 4)[seed % 4 // 2]})
     for rel in (0.05, 0.5, 0.99):
@@ -296,7 +411,10 @@ def test_csv_formatter_equals_the_per_row_format():
     times = [i * DT for i in range(len(values))]
     assert format_trajectory_csv(traj) == _per_row_csv("t_seconds,value",
                                                        times, traj.values)
-    spec = Spectrum(values, np.abs(values), {})
+    assert format_csv("freq_hz,magnitude", values, np.abs(values)) == (
+        _per_row_csv("freq_hz,magnitude", values, np.abs(values)))
+    finite = values[np.isfinite(values)]
+    spec = Spectrum(finite, np.abs(finite), {})
     assert format_spectrum_csv(spec) == _per_row_csv(
         "freq_hz,magnitude", spec.freq, spec.magnitude)
     assert format_trajectory_csv(Trajectory(DT, np.array([]), "e")) == (
