@@ -33,13 +33,6 @@ class ToeplitzSpec:
             raise ValueError("need n >= 1")
 
 
-def toeplitz_matrix(spec: ToeplitzSpec) -> np.ndarray:
-    """Dense matrix for a ToeplitzSpec (used by oracles and block dumps)."""
-    m = spec.a * np.eye(spec.n)
-    off = spec.delta * np.ones(spec.n - 1)
-    return m + np.diag(off, 1) + np.diag(off, -1)
-
-
 def toeplitz_eigenvalues(spec: ToeplitzSpec) -> np.ndarray:
     """E_k = A + 2 Delta cos(k pi / (n+1)) for k = 1..n."""
     k = np.arange(1, spec.n + 1)

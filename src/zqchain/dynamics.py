@@ -25,6 +25,7 @@ literal signed sums of product-state projectors, so populations read +-1.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -449,28 +450,43 @@ def wavefront_arrival(trajectories, threshold: float) -> list[float | None]:
     return out
 
 
-def linear_fit_r2(x, y) -> tuple[float, float, float]:
-    """Least-squares line fit returning (slope, intercept, R^2)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
+def _row_template(x_bytes: bytes) -> str:
+    """One "<x as %.12g>,%.12g\n" row per float64 in ``x_bytes``, joined.
+
+    A %.12g text is digits, sign, point, exponent, "nan" or "inf": it never
+    holds "%", so the template takes exactly one value per row.
+    """
+    x = np.frombuffer(x_bytes)
+    return ("%.12g,%%.12g\n" * len(x)) % tuple(x.tolist())
+
+
+# Templates are kept while one's text takes at most TEMPLATE_CACHE_BYTES: a
+# %.12g text has at most 19 characters, so a row takes at most
+# TEMPLATE_ROW_BYTES. The presets' time and frequency grids (4001 and 8003
+# rows, 48 and 159 kB of text) fit. A template of MAX_STEPS rows could take
+# 26 MB and one of a MAX_FFT_POINTS spectrum 218 MB, so a grid above the
+# bound is formatted through the same function and not kept.
+TEMPLATE_CACHE_BYTES = 2 ** 20
+TEMPLATE_ROW_BYTES = 19 + len(",%.12g\n")
+_kept_row_template = functools.lru_cache(maxsize=2)(_row_template)
 
 
 def format_csv(header: str, x: np.ndarray, y: np.ndarray) -> str:
     """Two-column CSV: the header line, then one "x,y" row per sample, 12 digits.
 
-    The whole body is one % operation on the interleaved columns, whose
-    %.12g prints each float as "{:.12g}".format does.
+    Each row reads as "{:.12g},{:.12g}".format(x, y). The x column is
+    formatted once into a row template (_row_template) and the body is one
+    % operation of the template on the y column, so CSVs that share a time
+    or frequency grid share its text. Templates are keyed on the column's
+    exact float64 bytes (-0.0, NaN and any one-bit difference each get their
+    own) and kept, the last two, while one fits TEMPLATE_CACHE_BYTES.
     """
     if len(x) != len(y):
         raise ValueError(f"CSV columns of {len(x)} and {len(y)} rows")
-    xy = np.column_stack([x, y]).ravel()
-    return header + "\n" + ("%.12g,%.12g\n" * len(x)) % tuple(xy.tolist())
+    x_bytes = np.asarray(x, dtype=float).tobytes()
+    kept = len(x) * TEMPLATE_ROW_BYTES <= TEMPLATE_CACHE_BYTES
+    template = (_kept_row_template if kept else _row_template)(x_bytes)
+    return header + "\n" + template % tuple(np.asarray(y, dtype=float).tolist())
 
 
 def format_trajectory_csv(traj: Trajectory) -> str:

@@ -306,7 +306,3 @@ def basis_change(op: Operator, unitary: np.ndarray, new_tag: str) -> Operator:
         raise ValueError(f"matrix not unitary: max |U^dag U - 1| = {dev:.3e}")
     return Operator(u.conj().T @ op.entries @ u, new_tag)
 
-
-def commutator(a: Operator, b: Operator) -> np.ndarray:
-    """[A, B] as a plain matrix (anti-Hermitian for Hermitian inputs)."""
-    return a.entries @ b.entries - b.entries @ a.entries

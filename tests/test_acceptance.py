@@ -12,13 +12,13 @@ import time
 
 import numpy as np
 
+from helpers import linear_fit_r2, toeplitz_matrix
 from zqchain import analytic, pipeline, presets
-from zqchain.analytic import ToeplitzSpec, toeplitz_eigenvalues, toeplitz_eigenvector, toeplitz_matrix
+from zqchain.analytic import ToeplitzSpec, toeplitz_eigenvalues, toeplitz_eigenvector
 from zqchain.config import ScenarioConfig, validate
 from zqchain.dynamics import (
     InitialPattern,
     initial_aliphatic,
-    linear_fit_r2,
     observe_series,
     population_op,
     wavefront_arrival,

@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import toeplitz_matrix
 from zqchain import analytic, pipeline, presets
 from zqchain.analytic import (
     ToeplitzSpec,
@@ -11,7 +12,6 @@ from zqchain.analytic import (
     pt2_splitting_estimate,
     toeplitz_eigenvalues,
     toeplitz_eigenvector,
-    toeplitz_matrix,
     transition_table,
     xy_predicted_spectrum,
 )

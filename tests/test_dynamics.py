@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from helpers import linear_fit_r2
 from zqchain import dynamics
 from zqchain.config import (
     MAX_FULL_DIM,
@@ -21,7 +22,6 @@ from zqchain.dynamics import (
     format_trajectory_csv,
     initial_aliphatic,
     initial_xy,
-    linear_fit_r2,
     observe_series,
     phase_plan,
     population_op,

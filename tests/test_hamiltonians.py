@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from zqchain.analytic import ToeplitzSpec, toeplitz_matrix
+from helpers import commutator, toeplitz_matrix
+from zqchain.analytic import ToeplitzSpec
 from zqchain.hamiltonians import (
     AliphaticParams,
     AnomalousCouplingError,
@@ -19,7 +20,6 @@ from zqchain.hamiltonians import (
 )
 from zqchain.spinops import (
     basis_change,
-    commutator,
     lift,
     parse_label,
     product_labels,

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zqchain import pipeline, presets, spectra
+from zqchain import dynamics, pipeline, presets, spectra
 from zqchain.analytic import transition_table, xy_predicted_spectrum
+from zqchain.cli import main
 from zqchain.dynamics import (InitialPattern, Trajectory, format_csv,
                               format_trajectory_csv, initial_xy, observe_series)
 from zqchain.hamiltonians import XYParams, build_xy
@@ -423,6 +424,53 @@ def test_csv_formatter_equals_the_per_row_format():
     assert len(spec.freq) == 8003
     assert format_spectrum_csv(spec) == _per_row_csv(
         "freq_hz,magnitude", spec.freq, spec.magnitude)
+
+
+def test_csv_templates_of_alternating_grids():
+    # two grids that differ only in the sign of a zero row, and a NaN row
+    grid = np.array([0.0, 0.005, 1e-7, 2.5, math.nan, 4001 * 0.005])
+    signed = grid.copy()
+    signed[0] = -0.0
+    rng = np.random.default_rng(12)
+    dynamics._kept_row_template.cache_clear()
+    for k in range(6):
+        x = (grid, signed)[k % 2]
+        y = rng.normal(size=len(x))
+        y[k] = (-0.0, math.inf, math.nan, 5e-324, -1e300, 0.1 + 0.2)[k]
+        text = format_csv("x,y", x, y)
+        assert text == _per_row_csv("x,y", x, y)
+        assert text.split("\n")[1].startswith("-0," if k % 2 else "0,")
+    info = dynamics._kept_row_template.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+
+
+def test_csv_template_above_the_byte_bound_is_not_kept():
+    rows = dynamics.TEMPLATE_CACHE_BYTES // dynamics.TEMPLATE_ROW_BYTES
+    widest = np.full(rows, -1.23456789012e-308)  # the longest %.12g text
+    assert len(dynamics._row_template(widest.tobytes())) <= (
+        dynamics.TEMPLATE_CACHE_BYTES)
+    rng = np.random.default_rng(13)
+    dynamics._kept_row_template.cache_clear()
+    x = np.arange(rows + 1) * DT
+    y = rng.normal(size=rows + 1)
+    assert format_csv("x,y", x, y) == _per_row_csv("x,y", x, y)
+    assert dynamics._kept_row_template.cache_info().currsize == 0
+    assert format_csv("x,y", x[:rows], y[:rows]) == _per_row_csv(
+        "x,y", x[:rows], y[:rows])
+    assert dynamics._kept_row_template.cache_info().currsize == 1
+
+
+def test_preset_files_do_not_depend_on_threads(tmp_path, capsys):
+    files = []
+    for threads in ("1", "4"):
+        dynamics._kept_row_template.cache_clear()
+        out = tmp_path / threads
+        assert main(["preset", "fig7", "--threads", threads,
+                     "--out", str(out)]) == 0
+        files.append({p.name: p.read_bytes() for p in out.iterdir()})
+    capsys.readouterr()
+    assert len(files[0]) == 2 * 2 * (2 + 3 + 4 + 5)  # a spectrum and a report
+    assert files[0] == files[1]
 
 
 def test_csv_formatter_refuses_columns_of_different_lengths():

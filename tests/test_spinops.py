@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from helpers import commutator
 from zqchain.spinops import (
     HERMITICITY_TILE,
     Operator,
@@ -9,7 +10,6 @@ from zqchain.spinops import (
     ProjectorSum,
     basis_change,
     basis_tag,
-    commutator,
     expectation,
     hermitian_operator,
     hermiticity_deviation,
