@@ -14,9 +14,9 @@ two of them and d_k^2 per block otherwise.
 
 Every series a Propagator samples on one time grid (dt, steps) reads one
 table of cos and sin of the phase angles 2 pi E_j t, computed on the
-first call. The table is kept up to PHASE_CACHE numbers each for cos and
-sin; rows past that are recomputed per call, so a propagator holds at most
-2 * PHASE_CACHE phase numbers whatever the grid.
+first call, over the modes of rho(0)'s blocks only. The table is kept up
+to PHASE_CACHE numbers each for cos and sin; rows past that are recomputed
+per call, so a propagator holds at most 2 * PHASE_CACHE phase numbers.
 
 Initial states are deviation density operators (traceless, not positive
 semidefinite). XY patterns are normalized so each site reads +-1/2, i.e.
@@ -186,10 +186,11 @@ class Propagator:
     and of the modes; blocks come in the order of their first row of H
     (``block_sizes``).
 
-    rho0 is fixed at construction. For each block of rho0 the propagator
-    keeps that block's own modes V_k and rho0 in them: V_k^H a (d_k x terms)
-    for a ProjectorSum, V_k^H rho0 V_k otherwise. So it holds no dim x dim
-    array, and a ProjectorSum rho0 no d_k x d_k one beyond V_k.
+    rho0 is fixed at construction. Only rho0's blocks are kept, each as its
+    rows of H, its modes V_k, rho0 in them (V_k^H a for a ProjectorSum,
+    V_k^H rho0 V_k otherwise) and its slice of ``energies``: the energies
+    of rho0's blocks alone, in block order, and none at all for rho0 = 0.
+    So it holds no dim x dim array, and a ProjectorSum rho0 no d_k x d_k.
 
     A real symmetric H is decomposed in real arithmetic, so its modes are
     real; a complex Hermitian H (one with an I_y term) takes the same code.
@@ -224,28 +225,27 @@ class Propagator:
             raise ValueError("an eigenvector of H reaches outside its block "
                              "of H's and rho0's nonzero pattern")
         by_block = np.argsort(first, kind="stable")
-        self.energies = energies[by_block]
-        # per block: its rows of H, and its slice of permuted rows and modes
-        self._blocks = tuple((order[a:a + s], slice(a, a + s))
-                             for a, s in zip(starts.tolist(), sizes.tolist()))
+        self._block_sizes = tuple(sizes.tolist())
+        # permuted rows, and so modes, of the blocks holding a row of rho0
+        active = np.isin(label[order], label[rho0_rows])
+        self.energies = energies[by_block][active]
         self._phases = (None, ())  # grid (dt, steps), its kept (cos, sin) blocks
         self.rho0 = rho0
-        block_of = np.empty(self.dim, dtype=int)  # of each row of H
-        block_of[order] = block
-        rho0_blocks = []  # rows of H, slice of modes, V_k and rho0 in V_k
-        hits = np.bincount(block_of[rho0_rows], minlength=len(sizes))
-        for k in np.flatnonzero(hits).tolist():
-            rows, cols = self._blocks[k]
+        rho0_blocks, at = [], 0  # rows of H, slice of energies, V_k, rho0 in V_k
+        ours = active[starts]  # of each block
+        for a, s in zip(starts[ours].tolist(), sizes[ours].tolist()):
+            rows, cols = order[a:a + s], slice(at, at + s)
             # a contiguous copy of this block alone: BLAS on a strided view
             # can round differently, and a view keeps all of modes alive
-            v = np.ascontiguousarray(modes[cols][:, by_block[cols]])
+            v = np.ascontiguousarray(modes[a:a + s, by_block[a:a + s]])
             rho0_blocks.append((rows, cols, v, _in_modes(rho0, rows, v)))
+            at += s
         self._rho0_blocks = tuple(rho0_blocks)
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
         """States per block of H and rho0, in the order of their first row."""
-        return tuple(len(rows) for rows, _ in self._blocks)
+        return self._block_sizes
 
     def evolve(self, t: float) -> Operator:
         """rho(t) for a single time; exact unitary evolution."""
@@ -261,10 +261,10 @@ class Propagator:
                steps: int, observable_id: str = "obs") -> Trajectory:
         """Sampled Tr(O rho(t)) at t = 0, dt, ..., steps*dt.
 
-        Works in the eigenbasis, from the phase angles theta_j = 2 pi E_j t,
-        one block of rho0 at a time. rho(t) is zero outside those blocks, so
-        the sum is exact for any observable, and the observable's entries
-        outside them are never read.
+        Works in the eigenbasis, from the phase angles theta_j = 2 pi E_j t
+        of rho0's modes, one block of rho0 at a time. rho(t) is zero outside
+        those blocks, so the sum is exact for any observable, and the
+        observable's entries outside them are never read.
 
         When both operands are ProjectorSums, rho0 = sum_m w_m |a_m><a_m|
         and O = sum_l u_l |b_l><b_l|, the signal is a sum of transition
@@ -301,7 +301,7 @@ class Propagator:
         grid, blocks = self._phases  # read once; new kept blocks stored at the end
         if grid != (dt, steps):
             self._phases = grid, blocks = (dt, steps), ()  # drop the old grid's
-        rows, kept = phase_plan(steps, self.dim)
+        rows, kept = phase_plan(steps, len(self.energies))
         fresh = []
         for k, start in enumerate(range(0, steps + 1, rows)):
             if k < len(blocks):
@@ -341,9 +341,6 @@ class Propagator:
                   * _matrix(observable, _in_modes(observable, rows, v)).T)
                  for rows, cols, v, rho0_v in self._rho0_blocks]
         dtype = np.result_type(float, *(b for _, b in terms))
-        idle = np.ones(self.dim, dtype=bool)  # modes of no term: B is zero
-        for cols, _ in terms:
-            idle[cols] = False
 
         def products(phase, out):
             for cols, b in terms:
@@ -351,10 +348,9 @@ class Propagator:
 
         def form(cos, sin):
             # p^T B conj(p) with p = cos - i sin; cos @ B and then sin @ B,
-            # block by block, share one buffer that is zero off the blocks,
-            # so a row block holds one rows x dim product
+            # block by block, share one buffer, so a row block holds one
+            # product of the phase table's shape
             prod = np.empty(cos.shape, dtype)
-            prod[:, idle] = 0
             products(cos, prod)
             xc = np.einsum("tk,tk->t", prod, cos)
             xs = np.einsum("tk,tk->t", prod, sin)

@@ -1,5 +1,5 @@
-"""Small dense helpers that only the tests use: a commutator, a tridiagonal
-Toeplitz matrix and a least-squares line fit."""
+"""Small helpers that only the tests use: a commutator, a tridiagonal
+Toeplitz matrix, a least-squares line fit and a count of np.sin work."""
 from __future__ import annotations
 
 import numpy as np
@@ -30,3 +30,15 @@ def linear_fit_r2(x, y) -> tuple[float, float, float]:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(slope), float(intercept), r2
+
+
+def count_sines(monkeypatch) -> list[int]:
+    """Record the size of every np.sin argument from here on."""
+    sizes = []
+    real_sin = np.sin
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return real_sin(x, *args, **kwargs)
+    monkeypatch.setattr(np, "sin", counted)
+    return sizes

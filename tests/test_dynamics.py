@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import linear_fit_r2
+from helpers import count_sines, linear_fit_r2
 from zqchain import dynamics
 from zqchain.config import (
     MAX_FULL_DIM,
@@ -429,18 +429,6 @@ def _both_forms(n):
     return xy, aliphatic
 
 
-def _count_sines(monkeypatch):
-    """Record the size of every np.sin argument from here on."""
-    sizes = []
-    real_sin = np.sin
-
-    def counted(x, *args, **kwargs):
-        sizes.append(np.size(x))
-        return real_sin(x, *args, **kwargs)
-    monkeypatch.setattr(np, "sin", counted)
-    return sizes
-
-
 def test_series_on_a_new_grid_matches_a_fresh_propagator():
     for h, rho0, obs in _both_forms(4):
         prop = Propagator(h, rho0)
@@ -455,20 +443,24 @@ def test_phase_table_spanning_kept_and_recomputed_blocks(monkeypatch):
     dim, steps = 16, 100
     monkeypatch.setattr(dynamics, "SERIES_BLOCK", 7 * dim)
     monkeypatch.setattr(dynamics, "PHASE_CACHE", 30 * dim)
-    rows, kept = phase_plan(steps, dim)
-    assert (rows, kept) == (7, 28)
-    sizes = _count_sines(monkeypatch)
-    for h, rho0, obs in _both_forms(4):
+    # the table spans the modes of rho0's blocks: all 16 of the xy state,
+    # the 8 odd-parity ones of the single-T0 aliphatic state
+    plans = {16: (7, 28), 8: (14, 56)}
+    assert {modes: phase_plan(steps, modes) for modes in plans} == plans
+    sizes = count_sines(monkeypatch)
+    for (h, rho0, obs), modes in zip(_both_forms(4), plans):
         prop = Propagator(h, rho0)
+        assert len(prop.energies) == modes
+        kept = plans[modes][1]
         sizes.clear()
         first = prop.series(obs, DT, steps).values
-        assert sum(sizes) == (steps + 1) * dim
+        assert sum(sizes) == (steps + 1) * modes
         for _ in range(2):
             sizes.clear()
             assert np.array_equal(prop.series(obs, DT, steps).values, first)
             # only the rows past the kept blocks are recomputed
-            assert sum(sizes) == (steps + 1 - kept) * dim
-        assert kept * dim <= dynamics.PHASE_CACHE
+            assert sum(sizes) == (steps + 1 - kept) * modes
+        assert 0 < kept < steps + 1 and kept * modes <= dynamics.PHASE_CACHE
 
 
 def test_kept_phase_table_is_bounded_for_every_grid():
@@ -490,7 +482,7 @@ def test_kept_phase_table_is_bounded_for_every_grid():
 def test_run_simulate_computes_one_phase_table(monkeypatch):
     cfg = validate(ScenarioConfig(model="xy", n=9, couplings={"J": 5.0},
                                   flips=(1,)))
-    sizes = _count_sines(monkeypatch)
+    sizes = count_sines(monkeypatch)
     result = run_simulate(cfg)
     # nine sites, total_Iz and H all read the same table
     assert len(result.trajectories) == 9

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import count_sines
 from zqchain.dynamics import (
     InitialPattern,
     Propagator,
@@ -79,7 +80,8 @@ def iz(site, n):
 
 def test_xy_series_matches_the_dense_oracle_and_conserves_iz():
     rng = np.random.default_rng(1401)
-    for n, j, flips in xy_draws(rng):
+    # fig6d's pattern last: rho0 is zero on the |aaaa> and |bbbb> blocks
+    for n, j, flips in [*xy_draws(rng), (4, 5.0, [1, 2])]:
         h = build_xy(XYParams(n, j))
         rho0 = initial_xy(InitialPattern(n, frozenset(flips)))
         prop = Propagator(h, rho0)
@@ -179,15 +181,39 @@ def test_operands_with_entries_between_blocks_match_evolve():
         (h, _total("x", n), total_Iz(n)),
         (build_xy(XYParams(2, 5.0)),
          Operator(dq + np.diag([0.5, 0.0, 0.0, -0.5]), "ab:2"), Operator(dq, "ab:2")),
+        # rho0 = 0 touches no block: an empty phase table, a zero series
+        (h, Operator(np.zeros((2 ** n, 2 ** n)), f"ab:{n}"), ix2),
     ]
     for ham, rho0, obs in cases:
         p = Propagator(ham, rho0)
         traj = p.series(obs, 0.01, 60)
         expected = [expectation(obs, p.evolve(t)) for t in traj.times]
         assert np.max(np.abs(traj.values - expected)) < TOL
+    ((cos, sin),) = p._phases[1]  # the last case's one kept row block
+    assert p.energies.shape == (0,) and cos.shape == sin.shape == (61, 0)
+    assert not np.any(traj.values) and not np.any(p.evolve(0.3).entries)
     # the I_x signal is not trivially zero
     signal = Propagator(h, _total("x", n)).series(ix2, 0.01, 60).values
     assert np.max(np.abs(signal)) > 0.1
+
+
+def test_the_phase_table_spans_only_the_modes_of_rho0s_blocks(monkeypatch):
+    sines = count_sines(monkeypatch)
+    # single-T0 rho0: 8 of 16 modes at restricted n = 4, 8 of 64 at full n = 3
+    for build, n, full_space, dim in ((build_aliphatic_restricted, 4, False, 16),
+                                      (build_aliphatic_full, 3, True, 64)):
+        h = build(AliphaticParams(n, -14.0, 7.5, 2.5))
+        rho0 = initial_aliphatic(InitialPattern(n, frozenset({1})), [1.0],
+                                 full_space)
+        prop = Propagator(h, rho0)
+        modes = sum(len(rows) for rows, *_ in prop._rho0_blocks)
+        assert (modes, len(prop.energies), prop.dim) == (8, 8, dim)
+        sines.clear()
+        for obs in (population_op(t0_label(n, n), full_space), h):
+            values = prop.series(obs, DT, STEPS).values
+            assert np.max(np.abs(values - dense_series(h, rho0, obs, DT, STEPS))) < TOL
+        # both series, amplitude and bilinear form, read one table of them
+        assert sum(sines) == (STEPS + 1) * modes
 
 
 def _ket(text):
@@ -246,9 +272,13 @@ def test_block_sizes_are_the_conserved_sectors():
     h = build_aliphatic_full(AliphaticParams(3, -14.0, 7.5, 2.5))
     full = Propagator(h, h)
     assert sum(full.block_sizes) == 64
+    # rho0 = H touches every block of H, so every block is kept
+    kept = [rows for rows, *_ in full._rho0_blocks]
+    assert tuple(map(len, kept)) == full.block_sizes
+    assert len(full.energies) == 64
     support = set(np.flatnonzero(np.any(
         [st2_product_vector(t0_label(3, s)) for s in (1, 2, 3)], axis=0)).tolist())
-    (block,) = [set(rows.tolist()) for rows, _ in full._blocks
+    (block,) = [set(rows.tolist()) for rows in kept
                 if support & set(rows.tolist())]
     assert block == support and len(block) == 2 ** 3
     with pytest.raises(AttributeError):
