@@ -33,7 +33,6 @@ from .hamiltonians import (
     build_aliphatic_full,
     build_aliphatic_restricted,
     build_xy,
-    excitation_count,
     extract_blocks,
     geminal_energy,
     st_basis,
@@ -42,7 +41,6 @@ from .spectra import (
     PeakMatchReport,
     Spectrum,
     apodize,
-    cosine_transform,
     magnitude_spectrum,
     match_peaks,
     pick_peaks,
@@ -53,9 +51,7 @@ from .spinops import (
     Operator,
     ProductLabel,
     ProjectorSum,
-    StateVector,
     basis_change,
-    expectation,
     lift,
     single_spin_op,
     st_vectors,

@@ -14,7 +14,6 @@ import numpy as np
 
 # build_aliphatic_restricted is unused here; bench/tracing.py wraps it by name
 from .hamiltonians import AliphaticParams, build_aliphatic_restricted
-from .spinops import StateVector
 
 # below this separation two transitions are reported as coincident
 DEGENERACY_TOL_HZ = 1e-6
@@ -39,13 +38,12 @@ def toeplitz_eigenvalues(spec: ToeplitzSpec) -> np.ndarray:
     return spec.a + 2 * spec.delta * np.cos(k * np.pi / (spec.n + 1))
 
 
-def toeplitz_eigenvector(k: int, n: int) -> StateVector:
+def toeplitz_eigenvector(k: int, n: int) -> np.ndarray:
     """Standing-wave eigenvector with wavenumber k; independent of A and Delta."""
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     i = np.arange(1, n + 1)
-    vec = np.sqrt(2 / (n + 1)) * np.sin(i * k * np.pi / (n + 1))
-    return StateVector(vec)
+    return np.sqrt(2 / (n + 1)) * np.sin(i * k * np.pi / (n + 1))
 
 
 @dataclass(frozen=True)

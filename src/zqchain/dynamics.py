@@ -104,7 +104,7 @@ def st2_product_vector(label: ProductLabel) -> np.ndarray:
     _, t0, s0, _ = st_vectors()
     vec = np.array([1.0])
     for sym in label.sites:
-        vec = np.kron(vec, t0.entries if sym == "T0" else s0.entries)
+        vec = np.kron(vec, t0 if sym == "T0" else s0)
     return vec
 
 

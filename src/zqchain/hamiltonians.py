@@ -145,7 +145,7 @@ def st_basis(n: int) -> tuple[list[ProductLabel], np.ndarray]:
     """
     if n < 1:
         raise ValueError("need n >= 1 pairs")
-    cols = np.stack([v.entries for v in st_vectors()], axis=1)
+    cols = np.stack(st_vectors(), axis=1)
     u = np.array([[1.0]])
     for _ in range(n):
         u = np.kron(u, cols)
@@ -193,15 +193,8 @@ def restricted_labels(n: int) -> list[ProductLabel]:
 _EXCITED_SYMBOL = {"ab": "b", "st2": "S0", "st4": "S0"}
 
 
-def excitation_count(label: ProductLabel) -> int:
-    """Number of excitations in a label: beta sites, or S0 pairs."""
-    if label.alphabet not in ("ab", "st2"):
-        raise ValueError(f"excitation count undefined for alphabet "
-                         f"{label.alphabet!r}")
-    return _count_excitations(label)
-
-
 def _count_excitations(label: ProductLabel) -> int:
+    """Number of excitations in a label: beta sites, or S0 pairs."""
     sym = _EXCITED_SYMBOL[label.alphabet]
     return sum(1 for s in label.sites if s == sym)
 

@@ -81,23 +81,6 @@ def remove_dc(traj: Trajectory) -> Trajectory:
 def magnitude_spectrum(traj: Trajectory, zero_pad_factor: int = DEFAULT_ZERO_PAD,
                        tau: float | None = None) -> Spectrum:
     """|DFT| of the zero-padded series on the one-sided grid [0, 1/(2 dt)]."""
-    return _one_sided(traj, zero_pad_factor, tau, np.abs)
-
-
-def cosine_transform(traj: Trajectory, zero_pad_factor: int = DEFAULT_ZERO_PAD,
-                     tau: float | None = None) -> Spectrum:
-    """|real part of the DFT|: the cosine transform used for cosine-phased data.
-
-    For an even-extended series the complex DFT is real, so this equals its
-    magnitude; for a sine-phased tone the response at the tone vanishes.
-    """
-    return _one_sided(traj, zero_pad_factor, tau, lambda dft: np.abs(dft.real),
-                      transform="cosine")
-
-
-def _one_sided(traj: Trajectory, zero_pad_factor: int, tau: float | None,
-               magnitude, **meta) -> Spectrum:
-    """``magnitude`` of the zero-padded one-sided DFT, on its frequency grid."""
     n_samples = len(traj.values)
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
@@ -105,10 +88,10 @@ def _one_sided(traj: Trajectory, zero_pad_factor: int, tau: float | None,
         raise ValueError("zero_pad_factor must be >= 1")
     n_pad = n_samples * zero_pad_factor
     return Spectrum(np.fft.rfftfreq(n_pad, d=traj.dt),
-                    magnitude(_rfft(traj.values, n_pad)),
+                    np.abs(_rfft(traj.values, n_pad)),
                     {"dt": traj.dt, "n_samples": n_samples,
                      "zero_pad_factor": zero_pad_factor, "tau": tau,
-                     "observable_id": traj.observable_id, **meta})
+                     "observable_id": traj.observable_id})
 
 
 def _smooth_length(n: int) -> int:

@@ -169,27 +169,6 @@ class ProjectorSum:
         return (self.vectors * self.weights) @ self.vectors.conj().T
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Column vector, float64 or complex; basis states are unit-normalized."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        vec = np.array(self.entries, dtype=_real_or_complex(self.entries))
-        vec = vec.reshape(-1)
-        vec.setflags(write=False)
-        object.__setattr__(self, "entries", vec)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
-
 def hermitian_operator(entries: np.ndarray, tag: str) -> Operator:
     """Wrap a matrix as an Operator, asserting Hermiticity once at construction.
 
@@ -262,38 +241,15 @@ def total_Iz(n_sites: int) -> Operator:
     return Operator(np.diag(diag), basis_tag("ab", n_sites))
 
 
-def st_vectors() -> tuple[StateVector, StateVector, StateVector, StateVector]:
+def st_vectors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Two-spin singlet/triplet states in the order (T+1, T0, S0, T-1).
 
-    Components refer to the two-spin product basis (aa, ab, ba, bb).
+    Each is a float64 array of components in the two-spin product basis
+    (aa, ab, ba, bb).
     """
     s = 1 / np.sqrt(2)
-    tp1 = StateVector([1, 0, 0, 0])
-    t0 = StateVector([0, s, s, 0])
-    s0 = StateVector([0, s, -s, 0])
-    tm1 = StateVector([0, 0, 0, 1])
-    for v in (tp1, t0, s0, tm1):
-        assert abs(v.norm - 1.0) < 1e-12
-    return tp1, t0, s0, tm1
-
-
-def expectation(op: Operator | ProjectorSum,
-                rho: Operator | ProjectorSum) -> float:
-    """Tr(O rho) for Hermitian O and rho; the imaginary residue is guarded.
-
-    Raises if dimensions or basis tags differ, or if the imaginary part
-    exceeds the residue tolerance (a symptom of non-Hermitian inputs).
-    """
-    if op.basis_tag != rho.basis_tag:
-        raise ValueError(f"basis mismatch: {op.basis_tag} vs {rho.basis_tag}")
-    if op.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: {op.dim} vs {rho.dim}")
-    val = complex(np.einsum("ij,ji->", op.entries, rho.entries))
-    guard = IMAG_RESIDUE_TOL * max(1.0, abs(val.real))
-    if abs(val.imag) > guard:
-        raise ValueError(f"imaginary residue {val.imag:.3e} exceeds tolerance; "
-                         "inputs are likely not Hermitian")
-    return val.real
+    return (np.array([1.0, 0, 0, 0]), np.array([0, s, s, 0]),
+            np.array([0, s, -s, 0]), np.array([0, 0, 0, 1.0]))
 
 
 def basis_change(op: Operator, unitary: np.ndarray, new_tag: str) -> Operator:

@@ -1,11 +1,31 @@
-"""Small helpers that only the tests use: a commutator, a tridiagonal
-Toeplitz matrix, a least-squares line fit and a count of np.sin work."""
+"""Small helpers that only the tests use: the Tr(O rho) oracle, a
+commutator, a tridiagonal Toeplitz matrix, a least-squares line fit and a
+count of np.sin work."""
 from __future__ import annotations
 
 import numpy as np
 
 from zqchain.analytic import ToeplitzSpec
-from zqchain.spinops import Operator
+from zqchain.spinops import IMAG_RESIDUE_TOL, Operator, ProjectorSum
+
+
+def expectation(op: Operator | ProjectorSum,
+                rho: Operator | ProjectorSum) -> float:
+    """Tr(O rho) for Hermitian O and rho; the imaginary residue is guarded.
+
+    Raises if dimensions or basis tags differ, or if the imaginary part
+    exceeds the residue tolerance (a symptom of non-Hermitian inputs).
+    """
+    if op.basis_tag != rho.basis_tag:
+        raise ValueError(f"basis mismatch: {op.basis_tag} vs {rho.basis_tag}")
+    if op.dim != rho.dim:
+        raise ValueError(f"dimension mismatch: {op.dim} vs {rho.dim}")
+    val = complex(np.einsum("ij,ji->", op.entries, rho.entries))
+    guard = IMAG_RESIDUE_TOL * max(1.0, abs(val.real))
+    if abs(val.imag) > guard:
+        raise ValueError(f"imaginary residue {val.imag:.3e} exceeds tolerance; "
+                         "inputs are likely not Hermitian")
+    return val.real
 
 
 def commutator(a: Operator, b: Operator) -> np.ndarray:

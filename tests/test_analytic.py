@@ -44,7 +44,7 @@ def test_eigenvector_residuals(n):
     mat = toeplitz_matrix(spec)
     evals = toeplitz_eigenvalues(spec)
     for k in range(1, n + 1):
-        vec = toeplitz_eigenvector(k, n).entries
+        vec = toeplitz_eigenvector(k, n)
         assert np.linalg.norm(mat @ vec - evals[k - 1] * vec) < 1e-10
         assert abs(np.linalg.norm(vec) - 1) < 1e-12
 
@@ -64,18 +64,18 @@ def test_delta_zero_degenerate():
 
 
 def test_eigenvector_n2_k1():
-    vec = toeplitz_eigenvector(1, 2).entries
+    vec = toeplitz_eigenvector(1, 2)
     assert np.allclose(vec, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def test_eigenvectors_orthonormal():
     n = 7
-    mat = np.stack([toeplitz_eigenvector(k, n).entries for k in range(1, n + 1)])
+    mat = np.stack([toeplitz_eigenvector(k, n) for k in range(1, n + 1)])
     assert np.max(np.abs(mat @ mat.T - np.eye(n))) < 1e-12
 
 
 def test_k1_eigenvector_half_sine_envelope():
-    vec = toeplitz_eigenvector(1, 20).entries
+    vec = toeplitz_eigenvector(1, 20)
     assert np.all(vec > 0)
     assert np.argmax(vec) in (9, 10)  # maximum near the chain center
 
@@ -195,7 +195,7 @@ def test_eigenvector_independent_of_a_and_delta():
         order = np.argsort(np.linalg.eigvalsh(toeplitz_matrix(spec)))[::-1]
         for k in range(1, 7):
             dense = vecs[:, order[k - 1]]
-            ana = toeplitz_eigenvector(k, 6).entries.real
+            ana = toeplitz_eigenvector(k, 6)
             sign = np.sign(dense[np.argmax(np.abs(dense))] * ana[np.argmax(np.abs(dense))])
             assert np.max(np.abs(dense * sign - ana)) < 1e-10
 

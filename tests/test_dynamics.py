@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import count_sines, linear_fit_r2
+from helpers import count_sines, expectation, linear_fit_r2
 from zqchain import dynamics
 from zqchain.config import (
     MAX_FULL_DIM,
@@ -38,7 +38,6 @@ from zqchain.pipeline import run_simulate
 from zqchain.spinops import (
     Operator,
     ProjectorSum,
-    expectation,
     lift,
     parse_label,
     product_labels,

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import count_sines
+from helpers import count_sines, expectation
 from zqchain.dynamics import (
     InitialPattern,
     Propagator,
@@ -25,7 +25,6 @@ from zqchain.hamiltonians import (
 from zqchain.spinops import (
     Operator,
     ProjectorSum,
-    expectation,
     label_index,
     lift,
     parse_label,

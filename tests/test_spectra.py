@@ -15,7 +15,6 @@ from zqchain.spectra import (
     Peak,
     Spectrum,
     apodize,
-    cosine_transform,
     format_match_report,
     format_spectrum_csv,
     magnitude_spectrum,
@@ -30,9 +29,9 @@ DT = 0.005
 N = 4001  # 20 s horizon
 
 
-def tone(freq, n=N, dt=DT, phase=0.0):
+def tone(freq, n=N, dt=DT):
     t = np.arange(n) * dt
-    return Trajectory(dt, np.cos(2 * np.pi * freq * t + phase), f"tone{freq}")
+    return Trajectory(dt, np.cos(2 * np.pi * freq * t), f"tone{freq}")
 
 
 def test_apodize_value_at_tau():
@@ -224,29 +223,6 @@ def test_spectrum_grid_spacing_metadata():
     assert spec.meta["zero_pad_factor"] == 2
     assert spec.meta["tau"] == 5.0
     assert spec.grid_hz == pytest.approx(1 / (2000 * DT))
-
-
-def test_cosine_transform_cos_peak_sin_null():
-    # 4000 samples put 5.0 Hz exactly on a padded grid point, where the
-    # dispersive wings of a sine-phased line pass through zero
-    cos_spec = cosine_transform(apodize(tone(5.0, n=4000), 5.0), 4)
-    assert abs(cos_spec.freq[np.argmax(cos_spec.magnitude)] - 5.0) <= 2 * cos_spec.grid_hz
-
-    sin_spec = cosine_transform(apodize(tone(5.0, n=4000, phase=-np.pi / 2), 5.0), 4)
-    at_tone = np.argmin(np.abs(sin_spec.freq - 5.0))
-    assert abs(sin_spec.freq[at_tone] - 5.0) < 1e-9
-    assert sin_spec.magnitude[at_tone] < 0.02 * cos_spec.magnitude.max()
-
-
-def test_cosine_transform_equals_dft_for_even_extension():
-    base = np.cos(2 * np.pi * 3.0 * np.arange(200) * DT) * np.exp(
-        -np.arange(200) * DT / 2.0)
-    even = np.concatenate([base, base[1:][::-1]])  # even under reflection
-    traj = Trajectory(DT, even, "even")
-    spec = cosine_transform(traj, 1)
-    full = np.fft.rfft(even)
-    assert np.max(np.abs(full.imag)) < 1e-9  # DFT of even data is real
-    assert np.allclose(spec.magnitude, np.abs(full.real), atol=1e-9)
 
 
 def test_pick_peaks_single_line():

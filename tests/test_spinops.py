@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from helpers import commutator
+from helpers import commutator, expectation
 from zqchain.spinops import (
     HERMITICITY_TILE,
     Operator,
@@ -10,7 +10,6 @@ from zqchain.spinops import (
     ProjectorSum,
     basis_change,
     basis_tag,
-    expectation,
     hermitian_operator,
     hermiticity_deviation,
     label_index,
@@ -99,14 +98,14 @@ def test_total_iz_matches_lifted_sum():
 def test_st_vectors_values():
     tp1, t0, s0, tm1 = st_vectors()
     s = 1 / np.sqrt(2)
-    assert np.allclose(s0.entries, [0, s, -s, 0])
-    assert np.allclose(t0.entries, [0, s, s, 0])
-    assert np.allclose(tp1.entries, [1, 0, 0, 0])
-    assert np.allclose(tm1.entries, [0, 0, 0, 1])
+    assert np.allclose(s0, [0, s, -s, 0])
+    assert np.allclose(t0, [0, s, s, 0])
+    assert np.allclose(tp1, [1, 0, 0, 0])
+    assert np.allclose(tm1, [0, 0, 0, 1])
 
 
 def test_st_vectors_orthonormal():
-    mat = np.stack([v.entries for v in st_vectors()], axis=1)
+    mat = np.stack(st_vectors(), axis=1)
     gram = mat.conj().T @ mat
     assert np.max(np.abs(gram - np.eye(4))) < 1e-14
 
@@ -116,8 +115,8 @@ def test_singlet_antisymmetric_under_swap():
     swap[AA, AA] = swap[BB, BB] = 1
     swap[AB, BA] = swap[BA, AB] = 1
     _, t0, s0, _ = st_vectors()
-    assert np.allclose(swap @ s0.entries, -s0.entries)
-    assert np.allclose(swap @ t0.entries, t0.entries)
+    assert np.allclose(swap @ s0, -s0)
+    assert np.allclose(swap @ t0, t0)
 
 
 def test_expectation_identity():
@@ -252,7 +251,7 @@ def test_real_input_keeps_float64_and_i_y_stays_complex():
     assert Operator([[1, 0], [0, 2]], "ab:1").entries.dtype == np.float64
     real = hermitian_operator(np.array([[1.0, 2.0], [2.0, 3.0]]), "ab:1")
     assert real.entries.dtype == np.float64
-    assert st_vectors()[2].entries.dtype == np.float64
+    assert st_vectors()[2].dtype == np.float64
 
 
 def test_projector_sum_entries_and_checks():
